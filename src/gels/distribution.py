@@ -91,27 +91,15 @@ def _mixture(params):
     """Log-normal mixture view of the cdf.
 
     Returns (mus, weights): component log-scale means mu_i = (i+1) gamma^2
-    and normalized weights w_i = C(k,i) alpha^(k-i) e^((i+1)^2 g^2/2) / S.
-    Zero-weight components (alpha = 0, i < k) are dropped. Arrays are
-    frozen since lru_cache hands back shared objects.
+    and the series weights w_i = C(k,i) alpha^(k-i) e^((i+1)^2 g^2/2) / S.
+    At alpha = 0 only the i = k component is kept. Arrays are frozen
+    since lru_cache hands back shared objects.
     """
-    g2 = params.gamma**2
-    log_terms = []
-    mus = []
-    from .special_math import _log_series_terms  # shared term layout
-
-    for i, t in enumerate(_log_series_terms(params.alpha, params.gamma, params.k)):
-        if t == -math.inf:
-            continue
-        log_terms.append(t)
-        mus.append((i + 1) * g2)
-    log_terms = np.asarray(log_terms)
-    mus = np.asarray(mus)
-    m = log_terms.max()
-    w = np.exp(log_terms - m)
-    w /= w.sum()
+    w = log_series_sum(params.alpha, params.gamma, params.k).weights
+    mus = np.arange(1.0, params.k + 2.0) * params.gamma**2
+    if params.alpha == 0.0:
+        mus, w = mus[-1:], w[-1:]
     mus.flags.writeable = False
-    w.flags.writeable = False
     return mus, w
 
 

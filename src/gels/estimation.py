@@ -3,9 +3,11 @@
 k enters the density as an integer, so the fit is a profile over a fixed
 k grid: for each k maximize the likelihood in (alpha, gamma), then pick
 the k with the highest maximized log-likelihood (ties break toward the
-smaller k). The continuous optimization runs in (a, gamma) with
+smaller k). The continuous optimization is Newton in (a, gamma) with
 alpha = a^2, which keeps alpha nonnegative without explicit constraints;
 the support condition alpha < min(x) is enforced as a hard +inf barrier.
+Its gradient and Hessian are exact: the partials of log S are moments of
+the mixture weights (`special_math.log_series_sum`).
 """
 
 import math
@@ -96,55 +98,52 @@ def log_likelihood(params, data):
     return val
 
 
-def score(params, data):
-    """Analytic gradient of the log-likelihood in (alpha, gamma).
+def _derivatives(params, data):
+    """Exact gradient and Hessian of the log-likelihood in (alpha, gamma).
 
-    d l / d alpha = -n d logS / d alpha + gamma^-2 sum ln(x-alpha)/(x-alpha)
-    d l / d gamma = n (-1/gamma - d logS / d gamma) + gamma^-3 sum ln(x-alpha)^2
+    With t = ln(x - alpha) and u = x - alpha, from one kernel call:
+
+        l_alpha       = -n dS_alpha + gamma^-2 sum t/u
+        l_gamma       = -n (1/gamma + dS_gamma) + gamma^-3 sum t^2
+        l_alpha,alpha = -n dS_alpha,alpha + gamma^-2 sum (t - 1)/u^2
+        l_alpha,gamma = -n dS_alpha,gamma - 2 gamma^-3 sum t/u
+        l_gamma,gamma = n (1/gamma^2 - dS_gamma,gamma) - 3 gamma^-4 sum t^2
+
+    where dS are the partials of log S(alpha, gamma, k). At alpha = 0 the
+    alpha partials are one-sided.
     """
     x = data.values
     if x.min() <= params.alpha:
         raise ValueError("score undefined: data off the support")
-    d_alpha_s, d_gamma_s = log_series_sum_partials(params.alpha, params.gamma, params.k)
-    w = x - params.alpha
-    t = np.log(w)
-    g = params.gamma
-    d_alpha = -data.n * d_alpha_s + float((t / w).sum()) / g**2
-    d_gamma = data.n * (-1.0 / g - d_gamma_s) + float(t @ t) / g**3
-    return d_alpha, d_gamma
+    d = log_series_sum_partials(params.alpha, params.gamma, params.k)
+    u = x - params.alpha
+    t = np.log(u)
+    sum_t_u = float((t / u).sum())
+    sum_t2 = float(t @ t)
+    sum_t1_u2 = float(((t - 1.0) / u) @ (1.0 / u))
+    n, g = data.n, params.gamma
+    g2 = g * g
+    gradient = np.array([-n * d.d_alpha + sum_t_u / g2,
+                         -n * (1.0 / g + d.d_gamma) + sum_t2 / (g2 * g)])
+    h_ag = -n * d.d2_alpha_gamma - 2.0 * sum_t_u / (g2 * g)
+    hessian = np.array([[-n * d.d2_alpha + sum_t1_u2 / g2, h_ag],
+                        [h_ag, n * (1.0 / g2 - d.d2_gamma) - 3.0 * sum_t2 / (g2 * g2)]])
+    return gradient, hessian
 
 
-def observed_information(params, data, h_rel=1e-5):
-    """Negative Jacobian of the analytic score, by central differences.
+def score(params, data):
+    """Exact gradient (d l / d alpha, d l / d gamma) of the log-likelihood."""
+    d_alpha, d_gamma = _derivatives(params, data)[0]
+    return float(d_alpha), float(d_gamma)
 
-    Steps shrink near the alpha >= 0 boundary so stencils stay feasible.
-    The result is symmetrized; at an interior MLE it is the realized
-    observed information matrix.
+
+def observed_information(params, data):
+    """Observed information: the exact negative Hessian in (alpha, gamma).
+
+    At an interior MLE it is the realized observed information matrix; at
+    alpha = 0 its alpha entries are one-sided.
     """
-    theta = np.array([params.alpha, params.gamma])
-    steps = np.array([h_rel * max(1.0, abs(theta[0])), h_rel * max(1.0, abs(theta[1]))])
-    if theta[0] - steps[0] < 0.0:
-        steps[0] = theta[0] / 2.0 if theta[0] > 0.0 else 0.0
-    J = np.empty((2, 2))
-    for j in range(2):
-        h = steps[j]
-        if h == 0.0:
-            # one-sided at the alpha = 0 boundary
-            h = h_rel
-            tp = theta.copy()
-            tp[j] += h
-            sp = score(GelSParams(tp[0], params.k, tp[1]), data)
-            s0 = score(params, data)
-            J[:, j] = (np.array(sp) - np.array(s0)) / h
-            continue
-        tp, tm = theta.copy(), theta.copy()
-        tp[j] += h
-        tm[j] -= h
-        sp = score(GelSParams(tp[0], params.k, tp[1]), data)
-        sm = score(GelSParams(tm[0], params.k, tm[1]), data)
-        J[:, j] = (np.array(sp) - np.array(sm)) / (2.0 * h)
-    info = -0.5 * (J + J.T)
-    return info
+    return -_derivatives(params, data)[1]
 
 
 def information_criteria(n_params, loglik, n):
@@ -160,25 +159,33 @@ def _check_spread(data):
 
 
 def _default_inits(data, k):
-    """Starting points (a0, gamma0); alpha0 = a0^2 at several fractions of min(x)."""
+    """Starting points (a0, gamma0); alpha0 = a0^2 at several fractions of min(x).
+
+    gamma0 maximizes the likelihood at alpha0 with log S replaced by its
+    i = k term, (k+1)^2 gamma^2 / 2 (exact at alpha = 0). Then
+    g = gamma^2 solves (k+1)^2 g^2 + g = mean(t^2), t = ln(x - alpha0).
+    """
     xmin = float(data.values.min())
+    c = (k + 1.0) ** 2
     inits = []
     for frac in (0.5, 0.1, 0.9):
         a0 = math.sqrt(frac * xmin)
         t = np.log(data.values - a0 * a0)
-        g0 = max(float(t.std()), 1e-2)
-        inits.append((a0, g0))
+        mean_t2 = float(t @ t) / data.n
+        g2 = 2.0 * mean_t2 / (1.0 + math.sqrt(1.0 + 4.0 * c * mean_t2))
+        inits.append((a0, max(math.sqrt(g2), 1e-2)))
     return inits
 
 
 def fit_given_k(data, k, init=None):
     """Maximize the likelihood over (alpha, gamma) for one fixed k.
 
-    `init` is an optional (a0, gamma0) warm start, used alongside the
-    default starts; the best converged candidate wins. Covariance comes
-    from the observed information in (alpha, gamma); if alpha sits too
-    close to 0 for central differences, the optimizer's (a, gamma)
-    Hessian is transformed instead with the Jacobian diag(2a, 1).
+    Newton runs on (a, gamma) with alpha = a^2, using the exact gradient
+    and Hessian from the chain rule: l_a,a = 4 a^2 l_alpha,alpha + 2 l_alpha
+    and l_a,gamma = 2 a l_alpha,gamma. `init` is an optional (a0, gamma0) warm
+    start; it takes the place of the default start nearest the support
+    edge. The best converged candidate wins. Covariance comes from the
+    exact observed information in (alpha, gamma).
     """
     _check_spread(data)
     xmin = float(data.values.min())
@@ -191,16 +198,26 @@ def fit_given_k(data, k, init=None):
             return math.inf
         return -log_likelihood(GelSParams(alpha, k, g), data)
 
-    candidates = list(_default_inits(data, k))
+    def derivatives(v):
+        a, g = float(v[0]), float(v[1])
+        (l_alpha, l_gamma), h = _derivatives(GelSParams(a * a, k, g), data)
+        h_ag = 2.0 * a * h[0, 1]
+        return (np.array([-2.0 * a * l_alpha, -l_gamma]),
+                -np.array([[4.0 * a * a * h[0, 0] + 2.0 * l_alpha, h_ag],
+                           [h_ag, h[1, 1]]]))
+
+    candidates = _default_inits(data, k)
     if init is not None:
-        candidates.insert(0, tuple(init))
+        # the warm start tracks an optimum found near the support edge, so
+        # it stands in for the default start closest to that edge
+        candidates = [tuple(init)] + candidates[:-1]
 
     best = None
     for a0, g0 in candidates:
         if a0 * a0 >= barrier:
             continue
         try:
-            res = minimize(neg_loglik, [a0, g0])
+            res = minimize(neg_loglik, [a0, g0], derivatives=derivatives)
         except ValueError:
             continue
         if best is None or (res.converged and not best.converged) \
@@ -219,12 +236,7 @@ def fit_given_k(data, k, init=None):
     cov = None
     se_alpha = se_gamma = math.nan
     try:
-        if alpha_hat > 1e-4:
-            info = observed_information(params, data)
-            cov = np.linalg.inv(info)
-        else:
-            jac = np.diag([2.0 * a_hat, 1.0])
-            cov = jac @ np.linalg.inv(best.hessian) @ jac
+        cov = np.linalg.inv(observed_information(params, data))
         if np.isfinite(cov).all() and cov[0, 0] > 0.0 and cov[1, 1] > 0.0:
             se_alpha = math.sqrt(cov[0, 0])
             se_gamma = math.sqrt(cov[1, 1])

@@ -1,11 +1,12 @@
-"""Small dense unconstrained minimizer with numerical derivatives.
+"""Small dense unconstrained minimizer.
 
-Newton iteration on a finite-difference Hessian with backtracking line
-search. Objectives may return +inf to mark infeasible points: such steps
-are simply rejected by the line search, so the accepted iterates always
-carry finite, strictly decreasing function values. This is all the
-likelihood fits need (2 parameters, smooth interior, hard barrier at the
-support boundary).
+Newton iteration with backtracking line search, on exact derivatives when
+the caller has them (the GEL-S fits) and on finite-difference stencils
+otherwise (the competitor fits). Objectives may return +inf to mark
+infeasible points: such steps are simply rejected by the line search, so
+the accepted iterates always carry finite, strictly decreasing function
+values. This is all the likelihood fits need (2 parameters, smooth
+interior, hard barrier at the support boundary).
 """
 
 import math
@@ -87,9 +88,10 @@ def _descent_direction(H, g):
     scale = max(np.abs(np.diag(H)).max(), 1e-12)
     tau = 0.0
     for _ in range(40):
+        loaded = H + tau * np.eye(d) if tau else H
         try:
-            L = np.linalg.cholesky(H + tau * np.eye(d))
-            p = np.linalg.solve(L.T, np.linalg.solve(L, -g))
+            np.linalg.cholesky(loaded)  # raises unless positive definite
+            p = np.linalg.solve(loaded, -g)
             if np.dot(p, g) < 0.0:
                 return p
         except np.linalg.LinAlgError:
@@ -99,13 +101,16 @@ def _descent_direction(H, g):
 
 
 def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
-             grad_h_rel=1e-5, hess_h_rel=1e-4):
+             grad_h_rel=1e-5, hess_h_rel=1e-4, derivatives=None):
     """Minimize a smooth function of a few variables from a feasible start.
 
+    `derivatives(x)`, when given, returns the exact (gradient, Hessian) at
+    a feasible x; otherwise both come from finite-difference stencils.
     gtol defaults to 1e-8 * max(1, |f(x0)|), which scales sensibly for
     log-likelihoods of any sample size. Gradient stencils that poke into
     the infeasible region are retried with a 10x smaller step before
-    giving up on that iteration.
+    giving up on that iteration; a Hessian stencil that does is replaced
+    by the identity for the step.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = objective(x)
@@ -113,24 +118,31 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
         raise ValueError(f"objective not finite at starting point {x0}")
     if gtol is None:
         gtol = 1e-8 * max(1.0, abs(fx))
+    if derivatives is None:
+        def derivatives(x):
+            g = _gradient_with_retry(objective, x, grad_h_rel)
+            if g is None or float(np.linalg.norm(g)) <= gtol:
+                return g, None  # no step follows: skip the Hessian
+            try:
+                return g, numerical_hessian(objective, x, hess_h_rel)
+            except StencilError:
+                return g, None
 
-    g = None
+    g, H = derivatives(x)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        g = _gradient_with_retry(objective, x, grad_h_rel)
-        if g is None:
+    flat = False
+    while iterations < max_iter and g is not None and float(np.linalg.norm(g)) > gtol:
+        iterations += 1
+        p = _descent_direction(np.eye(x.size) if H is None else H, g)
+        slope = float(np.dot(g, p))
+        # The step would lower f by about -slope / 2: once that is below
+        # what f resolves, no line search can confirm it, and x is a
+        # minimum to working precision.
+        flat = -slope <= 1e-13 * max(1.0, abs(fx))
+        if flat:
             break
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= gtol:
-            break
-        try:
-            H = numerical_hessian(objective, x, hess_h_rel)
-        except StencilError:
-            H = np.eye(x.size)
-        p = _descent_direction(H, g)
 
         # Backtracking Armijo search; +inf trial values just keep shrinking.
-        slope = float(np.dot(g, p))
         t = 1.0
         accepted = False
         while t >= 1e-14:
@@ -144,22 +156,23 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
             break
         step = float(np.linalg.norm(t * p))
         x, fx = x_new, f_new
+        g, H = derivatives(x)
         if step <= step_tol * max(1.0, float(np.linalg.norm(x))):
             break
 
-    g = _gradient_with_retry(objective, x, grad_h_rel)
     gnorm = math.inf if g is None else float(np.linalg.norm(g))
-    try:
-        H_final = numerical_hessian(objective, x, hess_h_rel)
-    except StencilError:
-        H_final = np.full((x.size, x.size), np.nan)
+    if H is None:
+        try:
+            H = numerical_hessian(objective, x, hess_h_rel)
+        except StencilError:
+            H = np.full((x.size, x.size), np.nan)
     return MinimizeResult(
         x_min=x,
         f_min=fx,
         gradient_norm=gnorm,
-        hessian=H_final,
+        hessian=H,
         iterations=iterations,
-        converged=bool(gnorm <= gtol),
+        converged=bool(gnorm <= gtol or flat),
     )
 
 

@@ -1,16 +1,23 @@
-"""Scalar special functions and log-space series machinery.
+"""Scalar special functions and the log-space series kernel.
 
 Everything downstream (normalizing constant, cdf weights, moments,
 likelihood derivatives) funnels through the binomial-exponential series
 
-    S(alpha, gamma, m) = sum_{i=0}^{m} C(m, i) * alpha^(m-i) * exp((i+1)^2 gamma^2 / 2)
+    S(alpha, gamma, m) = sum_{i=0}^{m} T_i,
+    T_i = C(m, i) * alpha^(m-i) * exp((i+1)^2 gamma^2 / 2),
 
 which overflows in raw form for even moderate m * gamma^2, so it is only
-ever evaluated in log space here.
+ever evaluated in log space here. log S is a log-sum-exp of log T_i, so
+every partial of log S is a moment under the mixture weights w_i = T_i / S;
+`log_series_sum` computes log S, the weights and those moments in one pass.
 """
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
+from scipy.special import gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -47,14 +54,71 @@ def log_sum_exp(terms):
     return m + math.log(sum(math.exp(t - m) for t in terms))
 
 
-@dataclass(frozen=True)
-class LogSeriesSum:
-    """log S(alpha, gamma, m) together with the inputs that produced it."""
+class _Layout(NamedTuple):
+    """Per-order constants of the series, for i = 0..m."""
+
+    terms: np.ndarray  # rows log C(m, i), m - i, (i+1)^2: log T_i = (1, ln alpha, h) @ terms
+    tip: np.ndarray    # log T_i - log T_m at alpha = 0: -inf for i < m, 0 at i = m
+    decay: np.ndarray  # rows 0, 2i+1, 4i; see log_series_sum
+    sums: np.ndarray   # columns 1, q, q^2, i, i^3, i(i-1)
+
+
+@lru_cache(maxsize=256)
+def _layout(m):
+    i = np.arange(m + 1.0)
+    q = (i + 1.0) ** 2
+    log_c = gammaln(m + 1.0) - gammaln(i + 1.0) - gammaln(m - i + 1.0)
+    tip = np.full(m + 1, -np.inf)
+    tip[m] = 0.0
+    layout = _Layout(np.stack([log_c, m - i, q]), tip,
+                     np.stack([np.zeros_like(i), 2.0 * i + 1.0, 4.0 * i]),
+                     np.stack([np.ones_like(i), q, q * q, i, i ** 3, i * (i - 1.0)], axis=1))
+    for a in layout:
+        a.flags.writeable = False  # shared by every call at this order
+    return layout
+
+
+class LogSeriesSum(NamedTuple):
+    """log S(alpha, gamma, m), the weights w_i = T_i / S and their moments.
+
+    With p = m - i and q = (i+1)^2, the partials of log S are moments
+    under w (the Hessian of a log-sum-exp is E_w[Hessian of log T] plus
+    Cov_w[gradient of log T]):
+
+        d/d gamma          log S = gamma E_w[q]
+        d2/d gamma2        log S = E_w[q] + gamma^2 Var_w[q]
+        d/d alpha          log S = E_w[p] / alpha
+        d2/d alpha2        log S = (Var_w[i] - E_w[p]) / alpha^2
+                                 = E_w[p (p-1)] / alpha^2 - (E_w[p] / alpha)^2
+        d2/d alpha d gamma log S = -(gamma / alpha) Cov_w[i, q]
+                                 = gamma Cov_w[p, q] / alpha
+
+    The alpha moments are kept divided by their power of alpha. Since
+    p T_(i-1) / alpha = i T_i exp(-(2i+1) gamma^2 / 2), they are sums over
+    the weights with no division by alpha, stay finite as alpha -> 0, and
+    equal the one-sided limits at alpha = 0.
+    """
 
     value: float
     alpha: float
     gamma: float
     m: int
+    weights: np.ndarray      # w_i, i = 0..m, read-only
+    mean_q: float            # E_w[q]
+    var_q: float             # Var_w[q]
+    mean_p_alpha: float      # E_w[p] / alpha
+    fall_p_alpha2: float     # E_w[p (p-1)] / alpha^2
+    cov_pq_alpha: float      # Cov_w[p, q] / alpha
+
+
+class SeriesPartials(NamedTuple):
+    """First and second partials of log S(alpha, gamma, m)."""
+
+    d_alpha: float
+    d_gamma: float
+    d2_alpha: float
+    d2_gamma: float
+    d2_alpha_gamma: float
 
 
 def _check_series_args(alpha, gamma, m):
@@ -66,69 +130,50 @@ def _check_series_args(alpha, gamma, m):
         raise ValueError(f"series order must be a nonnegative integer, got {m}")
 
 
-def _log_series_terms(alpha, gamma, m):
-    """Log of each nonnegative series term; alpha^0 = 1 even at alpha = 0."""
-    half_g2 = 0.5 * gamma * gamma
-    log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
-    terms = []
-    for i in range(m + 1):
-        p = m - i
-        if p == 0:
-            t = half_g2 * (i + 1) ** 2
-        elif alpha == 0.0:
-            t = -math.inf
-        else:
-            t = log_binomial(m, i) + p * log_alpha + half_g2 * (i + 1) ** 2
-        terms.append(t)
-    return terms
-
-
 def log_series_sum(alpha, gamma, m):
-    """Evaluate log S(alpha, gamma, m) stably.
+    """log S(alpha, gamma, m) with its weights and their moments.
 
-    At alpha = 0 only the i = m term survives (0^0 = 1 convention), giving
-    log S = (m+1)^2 gamma^2 / 2 exactly.
+    The log terms come from the cached layout of order m and are summed
+    with a max-shifted exp-sum. At alpha = 0 only the i = m term survives
+    (0^0 = 1 convention), giving log S = (m+1)^2 gamma^2 / 2 exactly.
     """
     _check_series_args(alpha, gamma, m)
     m = int(m)
-    return LogSeriesSum(log_sum_exp(_log_series_terms(alpha, gamma, m)), alpha, gamma, m)
+    lay = _layout(m)
+    h = 0.5 * gamma * gamma
+    if alpha == 0.0:
+        top, shifted = h * (m + 1) ** 2, lay.tip
+    else:
+        log_t = np.array((1.0, math.log(alpha), h)) @ lay.terms
+        top = float(log_t.max())
+        shifted = log_t - top
+    # Rows T_i, T_i e^(-(2i+1)h) and T_i e^(-4ih), all over the largest
+    # T_i. The last two equal p T_(i-1) / (i alpha) and
+    # p (p-1) T_(i-2) / (i (i-1) alpha^2), p counted at i-1 and i-2.
+    scaled = np.exp(shifted - h * lay.decay)
+    sums = (scaled @ lay.sums).tolist()
+    s, sq, sq2 = sums[0][:3]  # S, S E_w[q], S E_w[q^2]
+    s1, s3 = sums[1][3:5]     # S E_w[p] / alpha, S E_w[p q] / alpha
+    s2 = sums[2][5]           # S E_w[p (p-1)] / alpha^2
+    w = scaled[0] / s
+    w.flags.writeable = False
+    mean_q = sq / s
+    mean_p = s1 / s
+    return LogSeriesSum(top + math.log(s), alpha, gamma, m, w, mean_q,
+                        sq2 / s - mean_q * mean_q, mean_p, s2 / s, s3 / s - mean_q * mean_p)
 
 
 def log_series_sum_partials(alpha, gamma, m):
-    """Partials (d/d alpha, d/d gamma) of log S(alpha, gamma, m).
+    """First and second partials of log S(alpha, gamma, m).
 
-    Both numerator series have nonnegative terms, so each partial is a
-    ratio of two log-space sums. At alpha = 0 the alpha-partial is the
-    one-sided (right) derivative, m * exp(-(2m+1) gamma^2 / 2).
+    At alpha = 0 the alpha partials are the one-sided (right) limits, for
+    example d/d alpha log S = m * exp(-(2m+1) gamma^2 / 2).
     """
-    _check_series_args(alpha, gamma, m)
-    m = int(m)
-    log_s = log_sum_exp(_log_series_terms(alpha, gamma, m))
-    half_g2 = 0.5 * gamma * gamma
-    log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
-
-    # d/d alpha: sum over i < m of C(m,i) (m-i) alpha^(m-i-1) exp(...)
-    if m == 0:
-        d_alpha = 0.0
-    else:
-        num = []
-        for i in range(m):
-            p = m - i - 1
-            if p == 0:
-                t = log_binomial(m, i) + math.log(m - i) + half_g2 * (i + 1) ** 2
-            elif alpha == 0.0:
-                continue
-            else:
-                t = (log_binomial(m, i) + math.log(m - i) + p * log_alpha
-                     + half_g2 * (i + 1) ** 2)
-            num.append(t)
-        d_alpha = math.exp(log_sum_exp(num) - log_s)
-
-    # d/d gamma: each term picks up a factor (i+1)^2 gamma
-    num = []
-    for i, base in enumerate(_log_series_terms(alpha, gamma, m)):
-        if base == -math.inf:
-            continue
-        num.append(base + 2.0 * math.log(i + 1) + math.log(gamma))
-    d_gamma = math.exp(log_sum_exp(num) - log_s)
-    return d_alpha, d_gamma
+    s, g = log_series_sum(alpha, gamma, m), gamma
+    return SeriesPartials(
+        d_alpha=s.mean_p_alpha,
+        d_gamma=g * s.mean_q,
+        d2_alpha=s.fall_p_alpha2 - s.mean_p_alpha ** 2,
+        d2_gamma=s.mean_q + g * g * s.var_q,
+        d2_alpha_gamma=g * s.cov_pq_alpha,
+    )

@@ -210,6 +210,15 @@ class TestFit:
         assert abs(sel["gamma_hat"] - 1.0) <= 3 * sel["se_gamma"]
 
 
+    def test_data_in_revolutions(self, capsys, tmp_path):
+        # ball_bearings in revolutions rather than millions of revolutions
+        src = tmp_path / "revolutions.txt"
+        values = datasets.load("ball_bearings").values * 1e6
+        src.write_text("".join(f"{v:.17g}\n" for v in values))
+        payload = validated(capsys, "fit", str(src), "--kmax", "10")
+        assert payload["selected"]["converged"]
+
+
 class TestSimulate:
     def test_schema_and_recovery_fields(self, capsys):
         payload = validated(capsys, "simulate", "--study", "II", "--n", "600",

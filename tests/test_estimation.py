@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gels import datasets, estimation
 from gels.distribution import GelSParams, sample
 from gels.estimation import (
     ConfidenceIntervals,
@@ -256,3 +257,41 @@ class TestConfidenceIntervals:
         half_gamma = (ci.gamma_ci[1] - ci.gamma_ci[0]) / 2
         assert 0.7 * 0.099 <= half_alpha <= 1.3 * 0.099
         assert 0.7 * 0.003 <= half_gamma <= 1.3 * 0.003
+
+
+class TestFitCost:
+    def test_ball_bearings_grid_likelihood_evaluations(self, monkeypatch):
+        # the profile over k = 0..30 made 19,328 evaluations with
+        # finite-difference Newton stencils
+        calls = []
+        counted = estimation.log_likelihood
+
+        def counting(params, data):
+            calls.append(params)
+            return counted(params, data)
+
+        monkeypatch.setattr(estimation, "log_likelihood", counting)
+        sel = fit(datasets.load("ball_bearings"), 0, 30).selected
+        assert len(calls) <= 1000
+        assert sel.converged and sel.k == 27
+        assert abs(sel.alpha_hat - 7.7954) <= 1e-4
+        assert abs(sel.gamma_hat - 0.4063) <= 1e-4
+
+
+class TestLargeScaleData:
+    """Data far from unit scale, where the MLE of alpha sits close to min(x)
+    relative to the spread (the old stencil stepped alpha past min(x))."""
+
+    @pytest.mark.parametrize("name,transform", [
+        ("leukaemia", lambda v: v * 1e6),
+        ("leukaemia", lambda v: v + 1e6),
+        ("ball_bearings", lambda v: v * 1e6),
+    ], ids=["leukaemia_times_1e6", "leukaemia_plus_1e6", "ball_bearings_times_1e6"])
+    def test_fit_converges(self, name, transform):
+        data = Dataset(values=transform(datasets.load(name).values))
+        sel = fit(data, 0, 10).selected
+        assert sel.converged
+        assert 0.0 <= sel.alpha_hat < float(data.values.min())
+        assert math.isfinite(sel.loglik)
+        s = score(GelSParams(sel.alpha_hat, sel.k, sel.gamma_hat), data)
+        assert math.hypot(*s) <= 1e-4 * data.n * max(1.0, 1.0 / sel.gamma_hat)

@@ -124,12 +124,13 @@ class TestLogSeriesSum:
 
 class TestLogSeriesSumPartials:
     def test_order_zero(self):
-        d_alpha, d_gamma = log_series_sum_partials(0.7, 0.5, 0)
+        d = log_series_sum_partials(0.7, 0.5, 0)
+        d_alpha, d_gamma = d.d_alpha, d.d_gamma
         assert d_alpha == 0.0
         assert abs(d_gamma - 0.5) < 1e-14
 
     def test_alpha_zero_single_term_gamma(self):
-        _, d_gamma = log_series_sum_partials(0.0, 1.0, 3)
+        d_gamma = log_series_sum_partials(0.0, 1.0, 3).d_gamma
         assert abs(d_gamma - 16.0) < 1e-12
 
     @pytest.mark.parametrize("alpha,gamma,m", [
@@ -138,7 +139,8 @@ class TestLogSeriesSumPartials:
     ])
     def test_matches_finite_differences(self, alpha, gamma, m):
         h = 1e-6
-        d_alpha, d_gamma = log_series_sum_partials(alpha, gamma, m)
+        d = log_series_sum_partials(alpha, gamma, m)
+        d_alpha, d_gamma = d.d_alpha, d.d_gamma
         fd_alpha = (log_series_sum(alpha + h, gamma, m).value
                     - log_series_sum(alpha - h, gamma, m).value) / (2 * h)
         fd_gamma = (log_series_sum(alpha, gamma + h, m).value
@@ -149,7 +151,67 @@ class TestLogSeriesSumPartials:
     def test_alpha_zero_one_sided(self):
         # with alpha=0 and m>0 the alpha-partial is one-sided
         h = 1e-8
-        d_alpha, _ = log_series_sum_partials(0.0, 1.0, 2)
+        d_alpha = log_series_sum_partials(0.0, 1.0, 2).d_alpha
         fd = (log_series_sum(h, 1.0, 2).value
               - log_series_sum(0.0, 1.0, 2).value) / h
         assert abs(d_alpha - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+def _mp_log_series_partials(alpha, gamma, m):
+    """log S and its five partials from direct 60-digit sums of the series
+    and of its termwise derivatives (no weights, no numerical stencils).
+
+    Returns (log S, d_alpha, d_gamma, d2_alpha, d2_gamma, d2_alpha_gamma).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a, g = mpmath.mpf(alpha), mpmath.mpf(gamma)
+
+        def power(p):  # alpha^p with 0^0 = 1 and zero for p < 0
+            return mpmath.mpf(0) if p < 0 else (mpmath.mpf(1) if p == 0 else a ** p)
+
+        s = s_a = s_g = s_aa = s_gg = s_ag = mpmath.mpf(0)
+        for i in range(m + 1):
+            p, q = m - i, (i + 1) ** 2
+            c = mpmath.binomial(m, i) * mpmath.exp(q * g ** 2 / 2)
+            s += c * power(p)
+            s_a += c * p * power(p - 1)
+            s_g += c * power(p) * q * g
+            s_aa += c * p * (p - 1) * power(p - 2)
+            s_gg += c * power(p) * (q + q * q * g ** 2)
+            s_ag += c * p * power(p - 1) * q * g
+        l_a, l_g = s_a / s, s_g / s
+        return tuple(float(v) for v in (
+            mpmath.log(s), l_a, l_g, s_aa / s - l_a ** 2, s_gg / s - l_g ** 2,
+            s_ag / s - l_a * l_g))
+
+
+class TestKernelOracle:
+    """log S and all five partials against 60-digit sums; alpha = 0 is the
+    one-sided limit (the series is a polynomial in alpha, so the termwise
+    derivatives at 0 are the right-hand ones)."""
+
+    @pytest.mark.parametrize("m", [0, 1, 27, 60])
+    @pytest.mark.parametrize("gamma", [1e-2, 0.4, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 1.0, 1e3])
+    def test_matches_mpmath(self, alpha, gamma, m):
+        ref = _mp_log_series_partials(alpha, gamma, m)
+        d = log_series_sum_partials(alpha, gamma, m)
+        got = (log_series_sum(alpha, gamma, m).value, d.d_alpha, d.d_gamma,
+               d.d2_alpha, d.d2_gamma, d.d2_alpha_gamma)
+        for name, g, r in zip(("log S", "d_alpha", "d_gamma", "d2_alpha",
+                               "d2_gamma", "d2_alpha_gamma"), got, ref):
+            assert abs(g - r) <= 1e-10 * abs(r), (name, g, r)
+
+    @pytest.mark.parametrize("m", [1, 2, 27])
+    def test_tiny_alpha_meets_the_one_sided_limit(self, m):
+        # alpha^2 underflows here; the alpha moments must not
+        near, limit = (log_series_sum_partials(a, 0.4, m) for a in (1e-200, 0.0))
+        assert near == pytest.approx(limit, rel=1e-14)
+
+    def test_weights_are_the_normalized_terms(self):
+        s = log_series_sum(0.5, 0.5, 1)
+        t = [0.5 * math.exp(0.125), math.exp(0.5)]
+        assert abs(s.weights[0] - t[0] / sum(t)) <= 1e-15
+        assert abs(s.weights.sum() - 1.0) <= 1e-15
+        assert not s.weights.flags.writeable
