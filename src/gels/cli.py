@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -661,6 +662,7 @@ def _add_input_options(sub):
                      help="field delimiter used with --column (default ',')")
 
 
+@cache  # parsing leaves the parser unchanged, so one tree serves every call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gels",

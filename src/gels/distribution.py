@@ -198,10 +198,14 @@ def _quantile_log_scale(params, p):
 
 
 def quantile(params, p):
-    """Inverse cdf; satisfies |cdf(quantile(p)) - p| <= 1e-10 for interior p."""
+    """Inverse cdf; satisfies |cdf(quantile(p)) - p| <= 1e-10 for interior p.
+
+    Always inside the open support: the smallest float above alpha at least.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {p}")
-    return params.alpha + math.exp(_quantile_log_scale(params, p))
+    q = params.alpha + math.exp(_quantile_log_scale(params, p))
+    return q if q > params.alpha else math.nextafter(params.alpha, math.inf)
 
 
 def sample(params, n, seed):

@@ -12,14 +12,16 @@ the mixture weights (`special_math.log_series_sum`).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
 
-from .distribution import GelSParams, log_norm_const
+# log_norm_const, log_series_sum_partials: unused here, but perfbench/tracer.py wraps them here
+from .distribution import GelSParams, log_norm_const  # noqa: F401
 from .optimize import minimize
-from .special_math import log_series_sum_partials
+from .special_math import LOG_2PI, log_series_sum, log_series_sum_partials  # noqa: F401
 
 
 class DegenerateDataError(ValueError):
@@ -58,6 +60,11 @@ class Dataset:
     def n(self):
         return int(self.values.size)
 
+    @cached_property
+    def log_sum(self):
+        """sum ln x, the data part of the k ln x likelihood term."""
+        return float(np.log(self.values).sum())
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -86,55 +93,58 @@ class KGridTrace:
         return self.per_k[self.selected_index]
 
 
+class _Point:
+    """The log-likelihood at one (alpha, gamma, k) from one kernel call and
+    one pass for t = ln(x - alpha), which `derivatives` reuses; ValueError
+    off the support."""
+
+    def __init__(self, data, alpha, gamma, k):
+        self.n, self.gamma, self.u = data.n, gamma, data.values - alpha
+        if not self.u.min() > 0.0:
+            raise ValueError("score undefined: data off the support")
+        self.t = np.log(self.u)
+        self.series = log_series_sum(alpha, gamma, k)
+        self.tt = float(self.t @ self.t)
+        # n log C - sum t^2 / (2 gamma^2) + k sum ln x, log C as in log_norm_const
+        self.value = (self.n * -(math.log(gamma) + 0.5 * LOG_2PI + self.series.value)
+                      - self.tt / (2.0 * gamma**2))
+        if k > 0:
+            self.value += k * data.log_sum
+
+    def derivatives(self):
+        """Exact (l_alpha, l_gamma) and (l_alpha,alpha, l_alpha,gamma, l_gamma,gamma):
+
+            l_alpha       = -n dS_alpha + gamma^-2 sum t/u
+            l_gamma       = -n (1/gamma + dS_gamma) + gamma^-3 sum t^2
+            l_alpha,alpha = -n dS_alpha,alpha + gamma^-2 sum (t - 1)/u^2
+            l_alpha,gamma = -n dS_alpha,gamma - 2 gamma^-3 sum t/u
+            l_gamma,gamma = n (1/gamma^2 - dS_gamma,gamma) - 3 gamma^-4 sum t^2
+
+        where dS are the partials of log S(alpha, gamma, k). At alpha = 0
+        the alpha partials are one-sided.
+        """
+        u, t, n, g, tt = self.u, self.t, self.n, self.gamma, self.tt
+        d = self.series.partials()
+        sum_t_u = float((t / u).sum())
+        sum_t1_u2 = float(((t - 1.0) / u) @ (1.0 / u))
+        g2 = g * g
+        return ((-n * d.d_alpha + sum_t_u / g2, -n * (1.0 / g + d.d_gamma) + tt / (g2 * g)),
+                (-n * d.d2_alpha + sum_t1_u2 / g2,
+                 -n * d.d2_alpha_gamma - 2.0 * sum_t_u / (g2 * g),
+                 n * (1.0 / g2 - d.d2_gamma) - 3.0 * tt / (g2 * g2)))
+
+
 def log_likelihood(params, data):
     """Full-sample log-likelihood; -inf when any point is off the support."""
-    x = data.values
-    if x.min() <= params.alpha:
+    try:
+        return _Point(data, params.alpha, params.gamma, params.k).value
+    except ValueError:
         return -math.inf
-    t = np.log(x - params.alpha)
-    val = data.n * log_norm_const(params) - float(t @ t) / (2.0 * params.gamma**2)
-    if params.k > 0:
-        val += params.k * float(np.log(x).sum())
-    return val
-
-
-def _derivatives(params, data):
-    """Exact gradient and Hessian of the log-likelihood in (alpha, gamma).
-
-    With t = ln(x - alpha) and u = x - alpha, from one kernel call:
-
-        l_alpha       = -n dS_alpha + gamma^-2 sum t/u
-        l_gamma       = -n (1/gamma + dS_gamma) + gamma^-3 sum t^2
-        l_alpha,alpha = -n dS_alpha,alpha + gamma^-2 sum (t - 1)/u^2
-        l_alpha,gamma = -n dS_alpha,gamma - 2 gamma^-3 sum t/u
-        l_gamma,gamma = n (1/gamma^2 - dS_gamma,gamma) - 3 gamma^-4 sum t^2
-
-    where dS are the partials of log S(alpha, gamma, k). At alpha = 0 the
-    alpha partials are one-sided.
-    """
-    x = data.values
-    if x.min() <= params.alpha:
-        raise ValueError("score undefined: data off the support")
-    d = log_series_sum_partials(params.alpha, params.gamma, params.k)
-    u = x - params.alpha
-    t = np.log(u)
-    sum_t_u = float((t / u).sum())
-    sum_t2 = float(t @ t)
-    sum_t1_u2 = float(((t - 1.0) / u) @ (1.0 / u))
-    n, g = data.n, params.gamma
-    g2 = g * g
-    gradient = np.array([-n * d.d_alpha + sum_t_u / g2,
-                         -n * (1.0 / g + d.d_gamma) + sum_t2 / (g2 * g)])
-    h_ag = -n * d.d2_alpha_gamma - 2.0 * sum_t_u / (g2 * g)
-    hessian = np.array([[-n * d.d2_alpha + sum_t1_u2 / g2, h_ag],
-                        [h_ag, n * (1.0 / g2 - d.d2_gamma) - 3.0 * sum_t2 / (g2 * g2)]])
-    return gradient, hessian
 
 
 def score(params, data):
     """Exact gradient (d l / d alpha, d l / d gamma) of the log-likelihood."""
-    d_alpha, d_gamma = _derivatives(params, data)[0]
-    return float(d_alpha), float(d_gamma)
+    return _Point(data, params.alpha, params.gamma, params.k).derivatives()[0]
 
 
 def observed_information(params, data):
@@ -143,7 +153,8 @@ def observed_information(params, data):
     At an interior MLE it is the realized observed information matrix; at
     alpha = 0 its alpha entries are one-sided.
     """
-    return -_derivatives(params, data)[1]
+    h_aa, h_ag, h_gg = _Point(data, params.alpha, params.gamma, params.k).derivatives()[1]
+    return -np.array([[h_aa, h_ag], [h_ag, h_gg]])
 
 
 def information_criteria(n_params, loglik, n):
@@ -191,20 +202,24 @@ def fit_given_k(data, k, init=None):
     xmin = float(data.values.min())
     barrier = xmin * (1.0 - 1e-12)
 
+    last = (None, None)  # one-slot cache: (a, gamma) of the latest trial, its _Point
+
     def neg_loglik(v):
+        nonlocal last
         a, g = float(v[0]), float(v[1])
-        alpha = a * a
-        if alpha >= barrier or g <= 0.0:
+        if a * a >= barrier or g <= 0.0:
             return math.inf
-        return -log_likelihood(GelSParams(alpha, k, g), data)
+        last = (a, g), _Point(data, a * a, g, k)
+        return -last[1].value
 
     def derivatives(v):
+        # minimize asks at the point it just accepted, the latest trial
         a, g = float(v[0]), float(v[1])
-        (l_alpha, l_gamma), h = _derivatives(GelSParams(a * a, k, g), data)
-        h_ag = 2.0 * a * h[0, 1]
-        return (np.array([-2.0 * a * l_alpha, -l_gamma]),
-                -np.array([[4.0 * a * a * h[0, 0] + 2.0 * l_alpha, h_ag],
-                           [h_ag, h[1, 1]]]))
+        point = last[1] if last[0] == (a, g) else _Point(data, a * a, g, k)
+        (l_alpha, l_gamma), (h_aa, h_ag, h_gg) = point.derivatives()
+        h_ag *= -2.0 * a
+        return ((-2.0 * a * l_alpha, -l_gamma),
+                ((-(4.0 * a * a * h_aa + 2.0 * l_alpha), h_ag), (h_ag, -h_gg)))
 
     candidates = _default_inits(data, k)
     if init is not None:

@@ -11,6 +11,7 @@ interior, hard barrier at the support boundary).
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -83,21 +84,31 @@ def numerical_hessian(f, x, h_rel=1e-4):
 
 
 def _descent_direction(H, g):
-    """Solve H p = -g, loading the diagonal until H is positive definite."""
-    d = g.size
-    scale = max(np.abs(np.diag(H)).max(), 1e-12)
+    """Solve H p = -g by a plain-float Cholesky factor, loading the
+    diagonal until H is positive definite; H and g are float sequences."""
+    d = len(g)
+    scale = max(max(abs(H[i][i]) for i in range(d)), 1e-12)
     tau = 0.0
     for _ in range(40):
-        loaded = H + tau * np.eye(d) if tau else H
-        try:
-            np.linalg.cholesky(loaded)  # raises unless positive definite
-            p = np.linalg.solve(loaded, -g)
-            if np.dot(p, g) < 0.0:
+        L = []  # rows of the Cholesky factor of H + tau I
+        for i in range(d):
+            row = []
+            for j in range(i):
+                row.append((H[i][j] - sum(map(mul, row, L[j]))) / L[j][j])
+            s = H[i][i] + tau - sum(map(mul, row, row))
+            if not s > 0.0:
+                break  # not positive definite (or NaN)
+            L.append(row + [math.sqrt(s)])
+        else:
+            p = []  # L y = -g, then L^T p = y, both in p
+            for i in range(d):
+                p.append((-g[i] - sum(map(mul, L[i], p))) / L[i][i])
+            for i in reversed(range(d)):
+                p[i] = (p[i] - sum(L[m][i] * p[m] for m in range(i + 1, d))) / L[i][i]
+            if sum(map(mul, p, g)) < 0.0:
                 return p
-        except np.linalg.LinAlgError:
-            pass
         tau = max(2.0 * tau, 1e-8 * scale)
-    return -g  # steepest descent as last resort
+    return [-v for v in g]  # steepest descent as last resort
 
 
 def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
@@ -105,12 +116,12 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
     """Minimize a smooth function of a few variables from a feasible start.
 
     `derivatives(x)`, when given, returns the exact (gradient, Hessian) at
-    a feasible x; otherwise both come from finite-difference stencils.
-    gtol defaults to 1e-8 * max(1, |f(x0)|), which scales sensibly for
-    log-likelihoods of any sample size. Gradient stencils that poke into
-    the infeasible region are retried with a 10x smaller step before
-    giving up on that iteration; a Hessian stencil that does is replaced
-    by the identity for the step.
+    a feasible x as float sequences (x itself is a numpy array); otherwise
+    both come from finite-difference stencils. gtol defaults to
+    1e-8 * max(1, |f(x0)|), which scales sensibly for log-likelihoods of
+    any sample size. Gradient stencils that poke into the infeasible region
+    are retried with a 10x smaller step before giving up on that iteration;
+    a Hessian stencil that does is replaced by the identity (step -g).
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = objective(x)
@@ -121,7 +132,7 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
     if derivatives is None:
         def derivatives(x):
             g = _gradient_with_retry(objective, x, grad_h_rel)
-            if g is None or float(np.linalg.norm(g)) <= gtol:
+            if g is None or math.hypot(*g) <= gtol:
                 return g, None  # no step follows: skip the Hessian
             try:
                 return g, numerical_hessian(objective, x, hess_h_rel)
@@ -131,10 +142,10 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
     g, H = derivatives(x)
     iterations = 0
     flat = False
-    while iterations < max_iter and g is not None and float(np.linalg.norm(g)) > gtol:
+    while iterations < max_iter and g is not None and math.hypot(*g) > gtol:
         iterations += 1
-        p = _descent_direction(np.eye(x.size) if H is None else H, g)
-        slope = float(np.dot(g, p))
+        p = [-v for v in g] if H is None else _descent_direction(H, g)
+        slope = sum(map(mul, p, g))
         # The step would lower f by about -slope / 2: once that is below
         # what f resolves, no line search can confirm it, and x is a
         # minimum to working precision.
@@ -146,7 +157,7 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
         t = 1.0
         accepted = False
         while t >= 1e-14:
-            x_new = x + t * p
+            x_new = x + t * np.array(p)
             f_new = objective(x_new)
             if math.isfinite(f_new) and f_new <= fx + 1e-4 * t * slope:
                 accepted = True
@@ -154,13 +165,12 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
             t *= 0.5
         if not accepted:
             break
-        step = float(np.linalg.norm(t * p))
         x, fx = x_new, f_new
         g, H = derivatives(x)
-        if step <= step_tol * max(1.0, float(np.linalg.norm(x))):
+        if t * math.hypot(*p) <= step_tol * max(1.0, math.hypot(*x.tolist())):
             break
 
-    gnorm = math.inf if g is None else float(np.linalg.norm(g))
+    gnorm = math.inf if g is None else math.hypot(*g)
     if H is None:
         try:
             H = numerical_hessian(objective, x, hess_h_rel)
@@ -170,7 +180,7 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
         x_min=x,
         f_min=fx,
         gradient_norm=gnorm,
-        hessian=H,
+        hessian=np.array(H, dtype=float),
         iterations=iterations,
         converged=bool(gnorm <= gtol or flat),
     )

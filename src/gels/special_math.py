@@ -110,6 +110,12 @@ class LogSeriesSum(NamedTuple):
     fall_p_alpha2: float     # E_w[p (p-1)] / alpha^2
     cov_pq_alpha: float      # Cov_w[p, q] / alpha
 
+    def partials(self):
+        """First and second partials of log S, from the moments."""
+        g, mp = self.gamma, self.mean_p_alpha
+        return SeriesPartials(mp, g * self.mean_q, self.fall_p_alpha2 - mp ** 2,
+                              self.mean_q + g * g * self.var_q, g * self.cov_pq_alpha)
+
 
 class SeriesPartials(NamedTuple):
     """First and second partials of log S(alpha, gamma, m)."""
@@ -169,11 +175,4 @@ def log_series_sum_partials(alpha, gamma, m):
     At alpha = 0 the alpha partials are the one-sided (right) limits, for
     example d/d alpha log S = m * exp(-(2m+1) gamma^2 / 2).
     """
-    s, g = log_series_sum(alpha, gamma, m), gamma
-    return SeriesPartials(
-        d_alpha=s.mean_p_alpha,
-        d_gamma=g * s.mean_q,
-        d2_alpha=s.fall_p_alpha2 - s.mean_p_alpha ** 2,
-        d2_gamma=s.mean_q + g * g * s.var_q,
-        d2_alpha_gamma=g * s.cov_pq_alpha,
-    )
+    return log_series_sum(alpha, gamma, m).partials()

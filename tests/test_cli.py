@@ -49,6 +49,47 @@ class TestDatasets:
             datasets.load("nope")
 
 
+class TestRepeatedCalls:
+    """main reuses one parser: consecutive calls, usage errors among them,
+    must not leak options or defaults into each other."""
+
+    SEQUENCE = [
+        (["stats", "--alpha", "0.5", "--k", "1", "--gamma", "0.5"], 0),
+        (["quantile", "--alpha", "0.5", "--k", "1", "--gamma", "0.6",
+          "--p", "0.95,0.99", "--format", "json"], 0),
+        (["stats", "--alpha", "0.5", "--k", "1"], 2),  # missing --gamma
+        (["sample", "--alpha", "1", "--k", "2", "--gamma", "1", "--n", "5",
+          "--seed", "3", "--format", "csv"], 0),
+        (["no-such-command"], 2),
+        (["fit", "--dataset", "leukaemia", "--kmax", "3"], 0),
+        (["quantile", "--alpha", "0", "--k", "0", "--gamma", "1", "--p", "1.5"], 2),
+        (["sample", "--alpha", "1", "--k", "2", "--gamma", "1", "--n", "5",
+          "--seed", "3"], 0),
+    ]
+
+    def run_all(self, capsys, order):
+        results = {}
+        for i in order:
+            argv, _ = self.SEQUENCE[i]
+            rc = main(list(argv))
+            captured = capsys.readouterr()
+            results[i] = (rc, captured.out, captured.err)
+        return results
+
+    def test_same_output_in_any_order(self, capsys):
+        forward = self.run_all(capsys, range(len(self.SEQUENCE)))
+        backward = self.run_all(capsys, reversed(range(len(self.SEQUENCE))))
+        assert forward == backward
+        for i, (argv, rc) in enumerate(self.SEQUENCE):
+            assert forward[i][0] == rc, argv
+        assert "usage: gels stats" in forward[2][2]
+        assert "invalid choice" in forward[4][2]
+        # default text format after a csv call: bare values, one per line
+        text = [float(v) for v in forward[7][1].split()]
+        assert text == [float(v) for v in forward[3][1].split()[1:]]
+        assert json.loads(forward[1][1])["quantiles"][0]["p"] == 0.95
+
+
 class TestExitCodes:
     def test_usage_errors(self, capsys):
         assert main(["no-such-command"]) == 2

@@ -235,6 +235,15 @@ class TestQuantile:
             q = quantile(params, p)
             assert abs(cdf(params, q) - p) <= 1e-10
 
+    @pytest.mark.parametrize("triple", [(10.0, 0, 1.0), (100.0, 3, 1.0), (1000.0, 0, 1.0)])
+    def test_support_edge(self, triple):
+        # alpha + e^y rounds to alpha here; the quantile must stay in the
+        # open support (alpha, inf)
+        params = GelSParams(*triple)
+        q = quantile(params, 1e-300)
+        assert q > params.alpha
+        assert q == math.nextafter(params.alpha, math.inf)
+
 
 class TestLogNormalReduction:
     @pytest.mark.parametrize("k", [0, 1, 3])

@@ -1,11 +1,12 @@
 """Likelihood, score, observed information, grid fitting, intervals."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from gels import datasets, estimation
+from gels import datasets, estimation, special_math
 from gels.distribution import GelSParams, sample
 from gels.estimation import (
     ConfidenceIntervals,
@@ -261,21 +262,93 @@ class TestConfidenceIntervals:
 
 class TestFitCost:
     def test_ball_bearings_grid_likelihood_evaluations(self, monkeypatch):
-        # the profile over k = 0..30 made 19,328 evaluations with
-        # finite-difference Newton stencils
-        calls = []
-        counted = estimation.log_likelihood
+        # the profile over k = 0..30 made 19,328 likelihood evaluations with
+        # finite-difference Newton stencils; the objective handed to
+        # minimize is counted, whatever it calls inside
+        evals = []
+        real = estimation.minimize
 
-        def counting(params, data):
-            calls.append(params)
-            return counted(params, data)
+        def counting_minimize(objective, x0, **kwargs):
+            def counted(v):
+                evals.append(1)
+                return objective(v)
+            return real(counted, x0, **kwargs)
 
-        monkeypatch.setattr(estimation, "log_likelihood", counting)
+        monkeypatch.setattr(estimation, "minimize", counting_minimize)
         sel = fit(datasets.load("ball_bearings"), 0, 30).selected
-        assert len(calls) <= 1000
+        assert 31 <= len(evals) <= 1000
         assert sel.converged and sel.k == 27
         assert abs(sel.alpha_hat - 7.7954) <= 1e-4
         assert abs(sel.gamma_hat - 0.4063) <= 1e-4
+
+    def test_ball_bearings_grid_kernel_calls(self, monkeypatch):
+        # one kernel call per Newton point: 1,381 calls when the value and
+        # the derivatives each called it
+        calls = []
+        real = special_math.log_series_sum
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        patched = []
+        for name, module in list(sys.modules.items()):
+            if (name == "gels" or name.startswith("gels.")) \
+                    and getattr(module, "log_series_sum", None) is real:
+                monkeypatch.setattr(module, "log_series_sum", counting)
+                patched.append(name)
+        assert "gels.estimation" in patched
+        fit(datasets.load("ball_bearings"), 0, 30)
+        assert 31 <= len(calls) <= 800
+
+
+class TestFusedPath:
+    """The fit's objective and derivatives, which share one kernel call per
+    point, against the public log_likelihood/score/observed_information."""
+
+    @staticmethod
+    def fit_callables(monkeypatch, data, k):
+        captured = []
+        real = estimation.minimize
+
+        def spy(objective, x0, **kwargs):
+            captured.append((objective, kwargs["derivatives"]))
+            return real(objective, x0, **kwargs)
+
+        monkeypatch.setattr(estimation, "minimize", spy)
+        fit_given_k(data, k)
+        return captured[0]
+
+    @pytest.mark.parametrize("name", ["ball_bearings", "leukaemia", "simulated"])
+    def test_matches_public_functions(self, monkeypatch, name):
+        if name == "simulated":
+            data = simulated(1.0, 2, 1.0, 5000, seed=31)
+        else:
+            data = datasets.load(name)
+        xmin = float(data.values.min())
+
+        def close(got, want):
+            return abs(got - want) <= 1e-12 * abs(want)
+
+        for k in (0, 1, 5, 27):
+            objective, derivatives = self.fit_callables(monkeypatch, data, k)
+            for frac in (0.0, 1e-3, 0.3, 0.9):
+                a = math.sqrt(frac * xmin)
+                for gamma in (0.3, 0.7, 1.5):
+                    params = GelSParams(a * a, k, gamma)
+                    v = np.array([a, gamma])
+                    l_a, l_g = score(params, data)
+                    J = observed_information(params, data)
+                    want_grad = (-2.0 * a * l_a, -l_g)
+                    want_hess = ((4.0 * a * a * J[0, 0] - 2.0 * l_a, 2.0 * a * J[0, 1]),
+                                 (2.0 * a * J[1, 0], J[1, 1]))
+                    recomputed = derivatives(v)  # v is not the latest trial
+                    assert close(objective(v), -log_likelihood(params, data))
+                    cached = derivatives(v)  # v is the latest trial
+                    for grad, hess in (recomputed, cached):
+                        assert all(map(close, grad, want_grad))
+                        for row, want_row in zip(hess, want_hess):
+                            assert all(map(close, row, want_row))
 
 
 class TestLargeScaleData:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gels.optimize import (
     MinimizeResult,
     StencilError,
+    _descent_direction,
     minimize,
     numerical_gradient,
     numerical_hessian,
@@ -67,6 +68,42 @@ class TestNumericalGradient:
         s = score(GelSParams(theta[0], 2, theta[1]), data)
         assert abs(-g[0] - s[0]) <= 1e-5 * max(1.0, abs(s[0]))
         assert abs(-g[1] - s[1]) <= 1e-5 * max(1.0, abs(s[1]))
+
+
+class TestStepSolve:
+    """The plain-float Cholesky step of the Newton loop."""
+
+    @given(st.integers(1, 4), st.integers(0, 10 ** 6))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_numpy_solve_on_spd(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(dim, dim))
+        H = A @ A.T + np.eye(dim)
+        g = rng.normal(size=dim)
+        p = np.array(_descent_direction(H.tolist(), g.tolist()))
+        want = np.linalg.solve(H, -g)
+        assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(want)
+
+    @given(st.integers(1, 4), st.integers(0, 10 ** 6))
+    @settings(max_examples=50, deadline=None)
+    def test_descent_direction_on_indefinite(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        eig = rng.uniform(0.1, 10.0, size=dim)
+        eig[0] = -eig[0]  # at least one negative curvature direction
+        H = Q @ np.diag(eig) @ Q.T
+        g = rng.normal(size=dim)
+        p = np.array(_descent_direction(H.tolist(), g.tolist()))
+        assert float(p @ g) < 0.0
+        # the loaded Newton step: (H + tau I) p = -g with H + tau I
+        # positive definite
+        r = H @ p + g
+        tau = -float(p @ r) / float(p @ p)
+        assert np.linalg.norm(r + tau * p) <= 1e-9 * np.linalg.norm(g)
+        assert np.linalg.eigvalsh(H + tau * np.eye(dim)).min() > 0.0
+
+    def test_nan_hessian_falls_back_to_steepest_descent(self):
+        assert _descent_direction([[math.nan, 0.0], [0.0, 1.0]], [1.0, -2.0]) == [-1.0, 2.0]
 
 
 class TestMinimize:
