@@ -31,7 +31,7 @@ import numpy as np
 
 from . import datasets
 from .competitors import fit_all
-from .distribution import GelSParams, MomentOverflowError, pdf, quantile, sample, summary
+from .distribution import FloatOverflowError, GelSParams, pdf, quantile, sample, summary
 from .estimation import (
     Dataset,
     DegenerateDataError,
@@ -635,6 +635,17 @@ def cmd_pdf_curve(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def _seed(text):
+    """argparse type of --seed: numpy seeds are nonnegative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _add_format_options(sub):
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default="text", help="output format (default text)")
@@ -694,7 +705,7 @@ def build_parser():
     p = subs.add_parser("sample", help="draw random variates")
     _add_triple_options(p, required=True)
     p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="RNG seed (same seed, same values)")
     _add_format_options(p)
     p.set_defaults(func=cmd_sample)
@@ -706,7 +717,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--kmin", type=int, default=0)
     p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--workers", type=int, default=None,
                    help="thread count (default: GELS_THREADS or 1)")
@@ -751,7 +762,7 @@ def main(argv=None):
     except (CliDataError, DegenerateDataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FitError, ConvergenceError, BracketError, MomentOverflowError,
+    except (FitError, ConvergenceError, BracketError, FloatOverflowError,
             StencilError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -13,22 +13,34 @@ mu = (k+1) gamma^2 and sigma = gamma.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .rootfind import Bracket, expand_bracket, solve_bracketed
-from .special_math import LOG_2PI, log_series_sum, std_normal_cdf
+from .special_math import LOG_2PI, log_series_sum, std_normal_cdf, std_normal_quantile
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-class MomentOverflowError(OverflowError):
-    """Moment too large for a float; `log_value` carries log E[X^n]."""
+class FloatOverflowError(OverflowError):
+    """A result too large for a float; `log_value` carries its log."""
 
     def __init__(self, message, log_value):
         super().__init__(message)
         self.log_value = log_value
+
+
+class MomentOverflowError(FloatOverflowError):
+    """Moment too large for a float; `log_value` carries log E[X^n]."""
+
+
+def ndtr(x):
+    """Elementwise standard normal cdf; `sample` calls it once per sweep."""
+    from scipy.special import ndtr  # scipy loads only when drawing variates
+    return ndtr(x)
 
 
 @dataclass(frozen=True)
@@ -168,7 +180,7 @@ def _quantile_log_scale(params, p):
     """Solve for y = ln(q - alpha) with mixture cdf equal to p."""
     mus, w = _mixture(params)
     g = params.gamma
-    z = ndtri(p)
+    z = std_normal_quantile(p)
 
     def excess(y):
         acc = 0.0
@@ -201,10 +213,15 @@ def quantile(params, p):
     """Inverse cdf; satisfies |cdf(quantile(p)) - p| <= 1e-10 for interior p.
 
     Always inside the open support: the smallest float above alpha at least.
+    Past the float range it raises FloatOverflowError carrying ln(q - alpha).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {p}")
-    q = params.alpha + math.exp(_quantile_log_scale(params, p))
+    y = _quantile_log_scale(params, p)
+    q = params.alpha + math.exp(y) if y <= _LOG_FLOAT_MAX else math.inf
+    if q == math.inf:
+        raise FloatOverflowError(
+            f"quantile at p={p} overflows a float (ln(x - alpha) = {y:.3f})", y)
     return q if q > params.alpha else math.nextafter(params.alpha, math.inf)
 
 
@@ -215,8 +232,11 @@ def sample(params, n, seed):
     seeded with `seed`, so output is fully deterministic. Each variate
     solves cdf(x) = u on the log scale by a bisection-safeguarded Newton
     iteration, vectorized across the whole draw; tolerance matches the
-    scalar `quantile` path.
+    scalar `quantile` path. A draw past the float range raises
+    FloatOverflowError carrying the largest ln(x - alpha).
     """
+    from scipy.special import ndtri
+
     if n != int(n) or n < 0:
         raise ValueError(f"sample size must be a nonnegative integer, got {n}")
     n = int(n)
@@ -244,7 +264,13 @@ def sample(params, n, seed):
             y_new = y - diff / dens
         bad = ~np.isfinite(y_new) | (y_new <= lo) | (y_new >= hi)
         y = np.where(bad, 0.5 * (lo + hi), y_new)
-    return params.alpha + np.exp(y)
+    with np.errstate(over="ignore"):
+        x = params.alpha + np.exp(y)
+    if np.isinf(x).any():
+        y_max = float(y.max())
+        raise FloatOverflowError(
+            f"draws overflow a float (ln(x - alpha) up to {y_max:.3f})", y_max)
+    return x
 
 
 def summary(params):

@@ -16,12 +16,12 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 # log_norm_const, log_series_sum_partials: unused here, but perfbench/tracer.py wraps them here
 from .distribution import GelSParams, log_norm_const  # noqa: F401
 from .optimize import minimize
-from .special_math import LOG_2PI, log_series_sum, log_series_sum_partials  # noqa: F401
+from .special_math import (LOG_2PI, log_series_sum, log_series_sum_partials,  # noqa: F401
+                           std_normal_quantile)
 
 
 class DegenerateDataError(ValueError):
@@ -311,7 +311,7 @@ def confidence_intervals(fit_result, level=0.95):
                                       and math.isfinite(fit_result.se_gamma)):
         raise UncertaintyUnavailableError(
             "observed information unavailable or singular for this fit")
-    z = ndtri(1.0 - (1.0 - level) / 2.0)
+    z = std_normal_quantile(1.0 - (1.0 - level) / 2.0)
     a, g = fit_result.alpha_hat, fit_result.gamma_hat
     return ConfidenceIntervals(
         alpha_ci=(a - z * fit_result.se_alpha, a + z * fit_result.se_alpha),

@@ -84,31 +84,72 @@ def numerical_hessian(f, x, h_rel=1e-4):
 
 
 def _descent_direction(H, g):
-    """Solve H p = -g by a plain-float Cholesky factor, loading the
-    diagonal until H is positive definite; H and g are float sequences."""
+    """Solve H p = -g by a plain-float Cholesky factor; H and g are float
+    sequences. An indefinite H gets the diagonal loading tau_j =
+    1e-8 * max|H_ii| * 2^j, j = 0..38, with the smallest j whose
+    factorization succeeds; steepest descent if none does.
+
+    Success is monotone in tau, so j is found by bisection between two
+    bounds on -lambda_min(H): every tau <= -min H_ii fails, even in
+    rounded arithmetic (some pivot is at most H_ii + tau <= 0), and every
+    tau above the Gershgorin bound max_i (sum_(l != i) |H_il| - H_ii)
+    succeeds in exact arithmetic, which the search checks.
+    """
+    p = _loaded_step(H, g, 0.0)
+    if p is not None:
+        return p
     d = len(g)
-    scale = max(max(abs(H[i][i]) for i in range(d)), 1e-12)
-    tau = 0.0
-    for _ in range(40):
-        L = []  # rows of the Cholesky factor of H + tau I
-        for i in range(d):
-            row = []
-            for j in range(i):
-                row.append((H[i][j] - sum(map(mul, row, L[j]))) / L[j][j])
-            s = H[i][i] + tau - sum(map(mul, row, row))
-            if not s > 0.0:
-                break  # not positive definite (or NaN)
-            L.append(row + [math.sqrt(s)])
+    if not math.isfinite(sum(abs(v) for row in H for v in row)):
+        return [-v for v in g]  # NaN or inf entries: no loading helps
+    t0 = 1e-8 * max(max(abs(H[i][i]) for i in range(d)), 1e-12)
+    lower = max(-H[i][i] for i in range(d))
+    upper = max(sum(map(abs, H[i])) - abs(H[i][i]) - H[i][i] for i in range(d))
+    lo = _first_doubling_above(t0, lower) - 1  # fails at every j <= lo
+    for hi in range(min(_first_doubling_above(t0, upper), 38), 39):
+        p_hi = _loaded_step(H, g, math.ldexp(t0, hi))
+        if p_hi is not None:
+            break
+    else:
+        return [-v for v in g]  # steepest descent as last resort
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        p = _loaded_step(H, g, math.ldexp(t0, mid))
+        if p is None:
+            lo = mid
         else:
-            p = []  # L y = -g, then L^T p = y, both in p
-            for i in range(d):
-                p.append((-g[i] - sum(map(mul, L[i], p))) / L[i][i])
-            for i in reversed(range(d)):
-                p[i] = (p[i] - sum(L[m][i] * p[m] for m in range(i + 1, d))) / L[i][i]
-            if sum(map(mul, p, g)) < 0.0:
-                return p
-        tau = max(2.0 * tau, 1e-8 * scale)
-    return [-v for v in g]  # steepest descent as last resort
+            hi, p_hi = mid, p
+    return p_hi
+
+
+def _first_doubling_above(t0, x):
+    """Smallest j >= 0 with t0 * 2^j > x, for t0 > 0 and finite x."""
+    j = math.frexp(x / t0)[1] if x > t0 else 0  # t0 * 2^(j-1) <= x < t0 * 2^j
+    while math.ldexp(t0, j) <= x:
+        j += 1
+    while j > 0 and math.ldexp(t0, j - 1) > x:
+        j -= 1
+    return j
+
+
+def _loaded_step(H, g, tau):
+    """-(H + tau I)^-1 g from a plain-float Cholesky factor, or None when
+    H + tau I is not positive definite (or NaN) or the step is no descent."""
+    d = len(g)
+    L = []  # rows of the Cholesky factor of H + tau I
+    for i in range(d):
+        row = []
+        for j in range(i):
+            row.append((H[i][j] - sum(map(mul, row, L[j]))) / L[j][j])
+        s = H[i][i] + tau - sum(map(mul, row, row))
+        if not s > 0.0:
+            return None
+        L.append(row + [math.sqrt(s)])
+    p = []  # L y = -g, then L^T p = y, both in p
+    for i in range(d):
+        p.append((-g[i] - sum(map(mul, L[i], p))) / L[i][i])
+    for i in reversed(range(d)):
+        p[i] = (p[i] - sum(L[m][i] * p[m] for m in range(i + 1, d))) / L[i][i]
+    return p if sum(map(mul, p, g)) < 0.0 else None
 
 
 def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,

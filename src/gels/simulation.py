@@ -9,7 +9,6 @@ byte-for-byte.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -123,6 +122,8 @@ def run_study(config, workers=1):
     seeds = np.random.SeedSequence(config.seed).generate_state(
         config.replications, dtype=np.uint64)
     if workers > 1 and config.replications > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda s: _run_replication(config, s), seeds))
     else:

@@ -14,13 +14,14 @@ every partial of log S is a moment under the mixture weights w_i = T_i / S;
 
 import math
 from functools import lru_cache
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
+_STD_NORMAL = NormalDist()
 
 
 def std_normal_cdf(z):
@@ -30,6 +31,11 @@ def std_normal_cdf(z):
     cleanly to 0.0 / 1.0 in the far tails.
     """
     return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def std_normal_quantile(p):
+    """Standard normal quantile for 0 < p < 1 (Wichura's AS241, ~1e-16)."""
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def log_binomial(n, i):
@@ -67,7 +73,7 @@ class _Layout(NamedTuple):
 def _layout(m):
     i = np.arange(m + 1.0)
     q = (i + 1.0) ** 2
-    log_c = gammaln(m + 1.0) - gammaln(i + 1.0) - gammaln(m - i + 1.0)
+    log_c = np.array([log_binomial(m, j) for j in range(m + 1)])
     tip = np.full(m + 1, -np.inf)
     tip[m] = 0.0
     layout = _Layout(np.stack([log_c, m - i, q]), tip,

@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -10,6 +14,8 @@ import pytest
 
 from gels import datasets
 from gels.cli import main, schema_path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -119,6 +125,31 @@ class TestExitCodes:
         assert main(["stats", "--alpha", "0", "--k", "0", "--gamma", "15"]) == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["quantile", "--alpha", "0.5", "--k", "1", "--gamma", "30",
+         "--p", "0.999999"],
+        ["pdf-curve", "--alpha", "0.5", "--k", "1", "--gamma", "30",
+         "--points", "5"],
+        ["sample", "--alpha", "0.5", "--k", "1", "--gamma", "40", "--n", "5",
+         "--seed", "1", "--format", "json"],
+    ])
+    def test_overflowing_variates(self, capsys, argv):
+        # x - alpha beyond the float range: exit 4 with ln(x - alpha) named,
+        # never a traceback or an inf printed (invalid JSON) with exit 0
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a float (ln(x - alpha)" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--alpha", "0.5", "--k", "1", "--gamma", "0.5", "--n", "2",
+         "--seed", "-1"],
+        ["simulate", "--study", "I", "--n", "100", "--seed", "-3"],
+    ])
+    def test_negative_seed(self, capsys, argv):
+        assert main(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_conflicting_inputs(self, capsys, tmp_path):
         f = tmp_path / "x.txt"
         f.write_text("1\n2\n")
@@ -129,6 +160,30 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestImportPath:
+    def test_scipy_stays_off_the_cli_path(self):
+        # scipy.special is loaded only when drawing variates; a fresh
+        # interpreter is needed because this test process imports scipy
+        code = """
+import contextlib, io, sys
+import gels.cli
+assert 'scipy' not in sys.modules, 'import gels.cli'
+triple = ['--alpha', '0.5', '--k', '1', '--gamma', '0.5']
+for argv in (['fit', '--dataset', 'leukaemia', '--kmax', '2'],
+             ['compare', '--dataset', 'leukaemia', '--kmax', '2'],
+             ['stats', *triple], ['quantile', *triple, '--p', '0.1,0.9'],
+             ['pdf-curve', *triple, '--points', '5']):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gels.cli.main(argv) == 0, argv
+    assert 'scipy' not in sys.modules, argv
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestInputParsing:

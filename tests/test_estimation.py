@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gels import datasets, estimation, special_math
+from gels import datasets, estimation, optimize, special_math
 from gels.distribution import GelSParams, sample
 from gels.estimation import (
     ConfidenceIntervals,
@@ -300,6 +300,27 @@ class TestFitCost:
         assert "gels.estimation" in patched
         fit(datasets.load("ball_bearings"), 0, 30)
         assert 31 <= len(calls) <= 800
+
+    def test_ball_bearings_grid_step_factorizations(self, monkeypatch):
+        # the indefinite Hessians' diagonal loading, searched by doubling,
+        # took 1,433 Cholesky factorizations over the grid's 605 Newton steps
+        factorizations, iterations = [], []
+        real_step, real_minimize = optimize._loaded_step, estimation.minimize
+
+        def counting_step(*args):
+            factorizations.append(1)
+            return real_step(*args)
+
+        def counting_minimize(objective, x0, **kwargs):
+            res = real_minimize(objective, x0, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(optimize, "_loaded_step", counting_step)
+        monkeypatch.setattr(estimation, "minimize", counting_minimize)
+        fit(datasets.load("ball_bearings"), 0, 30)
+        assert sum(iterations) == 605
+        assert sum(iterations) <= len(factorizations) <= 900
 
 
 class TestFusedPath:

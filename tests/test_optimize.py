@@ -11,6 +11,7 @@ from gels.optimize import (
     MinimizeResult,
     StencilError,
     _descent_direction,
+    _loaded_step,
     minimize,
     numerical_gradient,
     numerical_hessian,
@@ -101,6 +102,23 @@ class TestStepSolve:
         tau = -float(p @ r) / float(p @ p)
         assert np.linalg.norm(r + tau * p) <= 1e-9 * np.linalg.norm(g)
         assert np.linalg.eigvalsh(H + tau * np.eye(dim)).min() > 0.0
+
+    @given(st.integers(1, 4), st.integers(0, 10 ** 6), st.floats(-12.0, 6.0))
+    @settings(max_examples=100, deadline=None)
+    def test_bisection_finds_the_doubling_loading(self, dim, seed, log_shift):
+        # reference: try tau = 0, then 1e-8 * max|H_ii| * 2^j for j = 0..38
+        # in turn; the bisection must return the same step, bit for bit
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(dim, dim))
+        H = (A + A.T - 10.0 ** log_shift * np.eye(dim)).tolist()
+        g = rng.normal(size=dim).tolist()
+        t0 = 1e-8 * max(max(abs(H[i][i]) for i in range(dim)), 1e-12)
+        want = _loaded_step(H, g, 0.0)
+        for j in range(39):
+            if want is not None:
+                break
+            want = _loaded_step(H, g, math.ldexp(t0, j))
+        assert _descent_direction(H, g) == (want or [-v for v in g])
 
     def test_nan_hessian_falls_back_to_steepest_descent(self):
         assert _descent_direction([[math.nan, 0.0], [0.0, 1.0]], [1.0, -2.0]) == [-1.0, 2.0]

@@ -4,7 +4,7 @@ module attribute; every name it looks up must still exist."""
 import importlib.util
 from pathlib import Path
 
-from gels import estimation, optimize
+from gels import GelSParams, distribution, estimation, optimize
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -25,3 +25,16 @@ def test_install_and_uninstall():
     finally:
         t.uninstall()
     assert estimation.minimize is optimize.minimize
+
+
+def test_sampler_sweeps_counted():
+    # the tracer counts sweeps through the module-level name
+    # distribution.ndtr, which sample must call once per sweep
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        distribution.sample(GelSParams(0.5, 1, 0.5), 100, 1)
+        assert t.counters["distribution.sample.sweeps"] > 0
+    finally:
+        t.uninstall()
