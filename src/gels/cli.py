@@ -31,7 +31,8 @@ import numpy as np
 
 from . import datasets
 from .competitors import fit_all
-from .distribution import FloatOverflowError, GelSParams, pdf, quantile, sample, summary
+from .distribution import (BracketError, ConvergenceError, FloatOverflowError, GelSParams, pdf,
+                           quantile, sample, summary)
 from .estimation import (
     Dataset,
     DegenerateDataError,
@@ -41,7 +42,6 @@ from .estimation import (
     fit,
     information_criteria,
 )
-from .rootfind import BracketError, ConvergenceError
 from .optimize import StencilError
 from .simulation import STUDY_PARAMS, StudyConfig, run_study
 

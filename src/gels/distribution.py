@@ -19,10 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rootfind import Bracket, expand_bracket, solve_bracketed
 from .special_math import LOG_2PI, log_series_sum, std_normal_cdf, std_normal_quantile
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_XTOL = 1e-13          # root tolerance, relative to max(1, |y|)
+_MAX_ITER = 200        # Newton or bisection steps per root
+_MAX_DOUBLINGS = 60    # bracket growth before giving up
 
 
 class FloatOverflowError(OverflowError):
@@ -35,6 +37,19 @@ class FloatOverflowError(OverflowError):
 
 class MomentOverflowError(FloatOverflowError):
     """Moment too large for a float; `log_value` carries log E[X^n]."""
+
+
+class BracketError(RuntimeError):
+    """No sign change found while growing the candidate interval."""
+
+
+class ConvergenceError(RuntimeError):
+    """Iteration budget exhausted; carries the last bracket."""
+
+    def __init__(self, message, lo, hi):
+        super().__init__(message)
+        self.lo = lo
+        self.hi = hi
 
 
 def ndtr(x):
@@ -157,56 +172,130 @@ def moment(params, n):
     return math.exp(log_m)
 
 
-def mode(params):
-    """Unique interior maximum of the density.
+def solve_bracketed(f, lo, hi, y):
+    """Root of an increasing f in [lo, hi] by safeguarded Newton from y.
 
-    For k = 0 the mode is exactly 1 + alpha. For k > 0 it is the single
-    root of x ln(x - alpha) = k gamma^2 (x - alpha) beyond 1 + alpha; the
-    seed interval [1 + alpha, alpha + e^(k gamma^2 + 1)] already brackets
-    it (the right end makes the left side strictly larger).
+    f(y) returns (f(y), f'(y)), with f(lo) <= 0 <= f(hi) and lo <= y <= hi.
+    Each value moves one end of the bracket to y. A Newton step that would
+    leave the bracket, or that is not half the step before last (Newton
+    crawling down a steep exponential tail), is replaced by bisection.
+    Stops once the step, or else the bracket, is within
+    1e-13 * max(1, |y|); the step is tested first, so a step below one ulp
+    of y cannot land on a bracket end.
+    """
+    step = last = hi - lo
+    for _ in range(_MAX_ITER):
+        value, slope = f(y)
+        if value < 0.0:
+            lo = y
+        else:
+            hi = y
+        tol = _XTOL * max(1.0, abs(y))
+        newton = value / slope if slope > 0.0 else math.inf
+        if abs(newton) <= tol:
+            return min(max(y - newton, lo), hi)
+        if hi - lo <= tol:
+            return y
+        if lo < y - newton < hi and 2.0 * abs(newton) <= abs(last):
+            last, step, y = step, newton, y - newton
+        else:
+            mid = 0.5 * (lo + hi)
+            last, step, y = step, y - mid, mid
+    raise ConvergenceError(f"no convergence in {_MAX_ITER} steps", lo, hi)
+
+
+def expand_bracket(f, lo, hi):
+    """Upper end of a bracket for `solve_bracketed`: probes lo + 2^j (hi - lo),
+    j = 0, 1, ..., until f >= 0 there; BracketError after 60 doublings."""
+    if not hi > lo:
+        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    width = hi - lo
+    for j in range(_MAX_DOUBLINGS + 1):
+        hi = lo + 2.0 ** j * width
+        if f(hi)[0] >= 0.0:
+            return hi
+    raise BracketError(f"no sign change in [{lo}, {hi}] after {_MAX_DOUBLINGS} doublings")
+
+
+def _shift_exp(alpha, y, what):
+    """alpha + e^y; past the float range, FloatOverflowError carrying y."""
+    x = alpha + math.exp(y) if y <= _LOG_FLOAT_MAX else math.inf
+    if x == math.inf:
+        raise FloatOverflowError(f"{what} overflows a float (ln(x - alpha) = {y:.3f})", y)
+    return x
+
+
+def mode(params):
+    """Global maximum of the density.
+
+    For k = 0 it is 1 + alpha. For k > 0 the density's turning points are
+    the roots of h(y) = y (1 + alpha e^-y) - k gamma^2 in y = ln(x - alpha),
+    all in [0, k gamma^2], and its maxima are where h rises through 0.
+    h' = 1 + alpha e^-y (1 - y) < 0 only between the roots y1 < 2 < y2 of
+    (y - 1) e^-y = 1/alpha, which exist for alpha > e^2; as there
+    h(y_i) = y_i^2 / (y_i - 1) - k gamma^2 >= 4 - k gamma^2, two maxima
+    also need k gamma^2 > 4, and then the higher of the roots on [0, y1]
+    and [y2, k gamma^2] wins. Past the float range the mode raises
+    FloatOverflowError carrying ln(x - alpha).
     """
     a, k, g = params.alpha, params.k, params.gamma
     if k == 0:
         return 1.0 + a
+    c = k * g * g
 
-    def grad_sign(x):
-        return x * math.log(x - a) - k * g * g * (x - a)
+    def h(y):
+        s = a * math.exp(-y)
+        return y * (1.0 + s) - c, 1.0 + s * (1.0 - y)
 
-    br = expand_bracket(grad_sign, 1.0 + a, a + math.exp(k * g * g + 1.0))
-    return solve_bracketed(grad_sign, br, xtol=1e-13, ftol=0.0, max_iter=200)
+    pieces = [(0.0, c)]
+    if a > math.e ** 2 and c > 4.0:
+        # with y = 1 + e^u, (y - 1) e^-y = 1/alpha reads e^u - u = b; its
+        # roots lie in [-b, 0] and [ln b, ln 2b]
+        b = math.log(a) - 1.0
+        u1 = solve_bracketed(lambda u: (u - math.exp(u) + b, 1.0 - math.exp(u)), -b, 0.0, -b)
+        u2 = solve_bracketed(lambda u: (math.exp(u) - u - b, math.exp(u) - 1.0),
+                             math.log(b), math.log(2.0 * b), math.log(b))
+        y1, y2 = 1.0 + math.exp(u1), 1.0 + math.exp(u2)
+        pieces = [(0.0, y1)] if h(y1)[0] > 0.0 else []
+        if h(y2)[0] < 0.0 or not pieces:
+            pieces.append((y2, c))
+
+    # every root y satisfies y = c / (1 + a e^-y) <= c / (1 + a e^-c)
+    top = c / (1.0 + a * math.exp(-c))
+    roots = [solve_bracketed(h, lo, hi, min(top, hi)) for lo, hi in pieces]
+    y = max(roots, key=lambda y: k * (y + math.log1p(a * math.exp(-y))) - y * y / (2 * g * g))
+    return _shift_exp(a, y, "mode")
 
 
 def _quantile_log_scale(params, p):
-    """Solve for y = ln(q - alpha) with mixture cdf equal to p."""
+    """Solve for y = ln(q - alpha) with mixture cdf equal to p.
+
+    Newton on the cdf excess, whose slope is the mixture density, starts at
+    the quantile of the normal with the mixture's mean and variance. The
+    root lies between the extreme component quantiles (padded for rounding;
+    the upper end still grows if it must).
+    """
     mus, w = _mixture(params)
+    comps = list(zip(mus.tolist(), w.tolist()))
     g = params.gamma
     z = std_normal_quantile(p)
+    scale = math.exp(-0.5 * LOG_2PI) / g
 
     def excess(y):
-        acc = 0.0
-        for mu, wi in zip(mus, w):
-            acc += wi * std_normal_cdf((y - mu) / g)
-        return acc - p
+        acc = dens = 0.0
+        for mu, wi in comps:
+            t = (y - mu) / g
+            acc += wi * std_normal_cdf(t)
+            dens += wi * math.exp(-0.5 * t * t)
+        return acc - p, dens * scale
 
-    # Common-sigma mixture quantile is pinned between the extreme
-    # component quantiles; pad for rounding, then grow if needed.
     pad = 1e-6 * g
-    lo = mus.min() + g * z - pad
-    hi = mus.max() + g * z + pad
-    f_lo, f_hi = excess(lo), excess(hi)
-    step = max(g, 1.0)
-    while f_lo > 0.0:
-        lo -= step
-        step *= 2.0
-        f_lo = excess(lo)
-    step = max(g, 1.0)
-    while f_hi < 0.0:
-        hi += step
-        step *= 2.0
-        f_hi = excess(hi)
-    return solve_bracketed(
-        excess, Bracket(lo, hi, f_lo, f_hi), xtol=1e-13, ftol=0.0, max_iter=200
-    )
+    lo = comps[0][0] + g * z - pad
+    hi = expand_bracket(excess, lo, comps[-1][0] + g * z + pad)
+    mean = sum(wi * mu for mu, wi in comps)
+    var = sum(wi * (mu - mean) ** 2 for mu, wi in comps)
+    y = mean + z * math.sqrt(g * g + var)
+    return solve_bracketed(excess, lo, hi, min(max(y, lo), hi))
 
 
 def quantile(params, p):
@@ -218,10 +307,7 @@ def quantile(params, p):
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {p}")
     y = _quantile_log_scale(params, p)
-    q = params.alpha + math.exp(y) if y <= _LOG_FLOAT_MAX else math.inf
-    if q == math.inf:
-        raise FloatOverflowError(
-            f"quantile at p={p} overflows a float (ln(x - alpha) = {y:.3f})", y)
+    q = _shift_exp(params.alpha, y, f"quantile at p={p}")
     return q if q > params.alpha else math.nextafter(params.alpha, math.inf)
 
 

@@ -29,7 +29,6 @@ class MinimizeResult:
     x_min: np.ndarray
     f_min: float
     gradient_norm: float
-    hessian: np.ndarray
     iterations: int
     converged: bool
 
@@ -212,16 +211,10 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
             break
 
     gnorm = math.inf if g is None else math.hypot(*g)
-    if H is None:
-        try:
-            H = numerical_hessian(objective, x, hess_h_rel)
-        except StencilError:
-            H = np.full((x.size, x.size), np.nan)
     return MinimizeResult(
         x_min=x,
         f_min=fx,
         gradient_norm=gnorm,
-        hessian=np.array(H, dtype=float),
         iterations=iterations,
         converged=bool(gnorm <= gtol or flat),
     )

@@ -45,21 +45,6 @@ def log_binomial(n, i):
     return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
 
 
-def log_sum_exp(terms):
-    """log(sum(exp(t) for t in terms)) without overflow.
-
-    `terms` must be non-empty; -inf entries are allowed and an all--inf
-    input returns -inf (the empty sum in log space).
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("log_sum_exp of an empty sequence")
-    m = max(terms)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(t - m) for t in terms))
-
-
 class _Layout(NamedTuple):
     """Per-order constants of the series, for i = 0..m."""
 

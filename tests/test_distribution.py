@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gels.distribution import (
+    FloatOverflowError,
     GelSParams,
     MomentOverflowError,
     cdf,
@@ -212,6 +215,34 @@ class TestMode:
         assert np.all(np.diff(up) > 0)
         assert np.all(np.diff(down) < 0)
 
+    def test_global_maximum_when_bimodal(self):
+        # alpha > e^2 and k gamma^2 > 4: local maxima near x = 17.8 (log pdf
+        # -6.83) and x = 189.6 (log pdf -6.57); the mode is the higher one
+        p = GelSParams(16.09314208673802, 8, 0.8392431726193268)
+        m = mode(p)
+        ys = np.linspace(-2.0, p.k * p.gamma ** 2 + 1.0, 20001)
+        grid = [log_pdf(p, p.alpha + math.exp(y)) for y in ys]
+        best = int(np.argmax(grid))
+        assert log_pdf(p, m) >= grid[best]
+        assert abs(m - (p.alpha + math.exp(ys[best]))) <= 1e-3 * m
+        assert abs(m - 189.65) <= 0.01
+
+    @pytest.mark.parametrize("triple", [(0.5, 1, 30.0), (0.5, 3, 16.0)])
+    def test_overflow_carries_log_value(self, triple):
+        # k gamma^2 = 900 and 768: the mode is past the float range
+        p = GelSParams(*triple)
+        with pytest.raises(FloatOverflowError) as err:
+            mode(p)
+        y = err.value.log_value
+        assert abs(y * (1 + p.alpha * math.exp(-y)) - p.k * p.gamma ** 2) <= 1e-12 * y
+
+    def test_finite_near_float_max(self):
+        # k gamma^2 = 709.16 is above ln(DBL_MAX) - 1, yet the mode fits
+        p = GelSParams(0.5, 1, 26.63)
+        x = mode(p)
+        assert math.isfinite(x)
+        assert abs(math.log(x) - p.k * p.gamma ** 2) <= 1e-12 * math.log(x)
+
 
 class TestQuantile:
     def test_tabulated(self):
@@ -235,6 +266,12 @@ class TestQuantile:
             q = quantile(params, p)
             assert abs(cdf(params, q) - p) <= 1e-10
 
+    def test_far_lower_tail(self):
+        # p = 1e-300 is 37 sd below the median of every component
+        params = GelSParams(6.048682828471002, 120, 0.12715536529307978)
+        q = quantile(params, 1e-300)
+        assert abs(cdf(params, q) / 1e-300 - 1.0) <= 1e-9
+
     @pytest.mark.parametrize("triple", [(10.0, 0, 1.0), (100.0, 3, 1.0), (1000.0, 0, 1.0)])
     def test_support_edge(self, triple):
         # alpha + e^y rounds to alpha here; the quantile must stay in the
@@ -243,6 +280,38 @@ class TestQuantile:
         q = quantile(params, 1e-300)
         assert q > params.alpha
         assert q == math.nextafter(params.alpha, math.inf)
+
+
+TRIPLE_BOX = st.builds(
+    GelSParams,
+    st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e),
+    st.integers(0, 60),
+    st.floats(-2.0, 0.0).map(lambda e: 10.0 ** e),
+)
+
+
+class TestParameterBox:
+    # alpha in [1e-2, 1e3], k <= 60, gamma in [1e-2, 1]
+
+    @given(TRIPLE_BOX, st.floats(1e-9, 1.0 - 1e-9))
+    @settings(max_examples=200, deadline=None)
+    def test_quantile_round_trip(self, params, p):
+        assert abs(cdf(params, quantile(params, p)) - p) <= 1e-10
+
+    @given(TRIPLE_BOX)
+    @settings(max_examples=200, deadline=None)
+    def test_mode_maximizes_density(self, params):
+        # every turning point has ln(x - alpha) in [0, k gamma^2]
+        a, k, g = params.alpha, params.k, params.gamma
+        y = np.linspace(-1.0, k * g * g + 1.0, 2001)
+        x = a + np.exp(y)
+
+        def log_density(x, y):  # log pdf up to log C
+            return k * np.log(x) - y * y / (2.0 * g * g)
+
+        m = mode(params)
+        at_mode = log_density(m, math.log(m - a))
+        assert at_mode >= log_density(x, y).max() - 1e-12 * max(1.0, abs(at_mode))
 
 
 class TestLogNormalReduction:

@@ -189,8 +189,3 @@ class TestMinimize:
         res = minimize(f, np.array([-1.2, 1.0]), max_iter=2)
         assert not res.converged
         assert res.iterations == 2
-
-    def test_hessian_reported_symmetric(self):
-        f = lambda v: (v[0] - 1.0) ** 2 + v[0] * v[1] + v[1] ** 2
-        res = minimize(f, np.array([0.0, 0.0]))
-        assert np.array_equal(res.hessian, res.hessian.T)

@@ -11,7 +11,6 @@ from gels.special_math import (
     log_binomial,
     log_series_sum,
     log_series_sum_partials,
-    log_sum_exp,
     std_normal_cdf,
 )
 
@@ -58,29 +57,6 @@ class TestLogBinomial:
             log_binomial(3, 4)
         with pytest.raises(ValueError):
             log_binomial(3, -1)
-
-
-class TestLogSumExp:
-    def test_small_cases(self):
-        assert abs(log_sum_exp([0.0, 0.0]) - math.log(2)) < 1e-14
-        assert abs(log_sum_exp([-1000.0, -1000.0]) - (-1000.0 + math.log(2))) < 1e-14
-        terms = [math.log(1), math.log(2), math.log(3)]
-        assert abs(log_sum_exp(terms) - math.log(6)) < 1e-14
-
-    def test_neg_inf_handling(self):
-        assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
-        assert abs(log_sum_exp([-math.inf, 0.0]) - 0.0) < 1e-14
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([])
-
-    @given(st.lists(st.floats(-600, 600), min_size=1, max_size=8),
-           st.floats(-500, 500))
-    def test_shift_invariance(self, terms, c):
-        base = log_sum_exp(terms)
-        shifted = log_sum_exp([t + c for t in terms])
-        assert abs(shifted - (base + c)) <= 1e-12 * max(1.0, abs(base + c))
 
 
 class TestLogSeriesSum:

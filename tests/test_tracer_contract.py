@@ -38,3 +38,30 @@ def test_sampler_sweeps_counted():
         assert t.counters["distribution.sample.sweeps"] > 0
     finally:
         t.uninstall()
+
+
+def test_root_solves_traced():
+    # quantile and mode must look their solver up as distribution's
+    # solve_bracketed and expand_bracket, the names the tracer wraps
+    tracer = load_tracer()
+
+    def calls(query):
+        t = tracer.Tracer()
+        try:
+            tracer.install(t)
+            query()
+        finally:
+            t.uninstall()
+        totals = t.span_totals()
+        return {name: totals.get(name, {"calls": 0})["calls"]
+                for name in ("rootfind.solve_bracketed", "rootfind.expand_bracket",
+                             "distribution.objective")}
+
+    params = GelSParams(0.5, 2, 0.5)
+    got = calls(lambda: distribution.quantile(params, 0.3))
+    assert got["rootfind.solve_bracketed"] == 1
+    assert got["rootfind.expand_bracket"] == 1
+    assert got["distribution.objective"] > 0
+    got = calls(lambda: distribution.mode(params))
+    assert got["rootfind.solve_bracketed"] == 1
+    assert got["distribution.objective"] > 0
