@@ -286,15 +286,15 @@ def cmd_sample(args):
         "params": {"alpha": params.alpha, "k": params.k, "gamma": params.gamma},
         "n": args.n,
         "seed": args.seed,
-        "values": list(values),
+        "values": values,
     }
 
     def text():
         # bare values, one per line, so the output pipes straight into `fit`
-        return "\n".join(f"{v:.17g}" for v in values) + "\n"
+        return "\n".join(f"{v:.17g}" for v in values.tolist()) + "\n"
 
     def as_csv():
-        return _csv_text(["value"], [[_csv_cell(v)] for v in values])
+        return _csv_text(["value"], [[_csv_cell(v)] for v in values.tolist()])
 
     return emit(args, payload, text, as_csv)
 

@@ -273,9 +273,15 @@ def _quantile_log_scale(params, p):
     Newton on the cdf excess, whose slope is the mixture density, starts at
     the quantile of the normal with the mixture's mean and variance. The
     root lies between the extreme component quantiles (padded for rounding;
-    the upper end still grows if it must).
+    the upper end still grows if it must). For p > 0.5 it solves for -y,
+    whose law is the mixture of N(-mu_i, gamma^2), at level 1 - p: the cdf
+    of -y is the sf of y, so the solve matches the sf to 1 - p, which keeps
+    its digits where the cdf next to 1 rounds short of p.
     """
     mus, w = _mixture(params)
+    sign = 1.0
+    if p > 0.5:
+        sign, p, mus, w = -1.0, 1.0 - p, -mus[::-1], w[::-1]
     comps = list(zip(mus.tolist(), w.tolist()))
     g = params.gamma
     z = std_normal_quantile(p)
@@ -295,7 +301,7 @@ def _quantile_log_scale(params, p):
     mean = sum(wi * mu for mu, wi in comps)
     var = sum(wi * (mu - mean) ** 2 for mu, wi in comps)
     y = mean + z * math.sqrt(g * g + var)
-    return solve_bracketed(excess, lo, hi, min(max(y, lo), hi))
+    return sign * solve_bracketed(excess, lo, hi, min(max(y, lo), hi))
 
 
 def quantile(params, p):

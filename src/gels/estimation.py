@@ -169,23 +169,18 @@ def _check_spread(data):
         raise DegenerateDataError("all observations identical; fit is degenerate")
 
 
-def _default_inits(data, k):
-    """Starting points (a0, gamma0); alpha0 = a0^2 at several fractions of min(x).
+def _default_init(data, k, frac):
+    """Starting point (a0, gamma0) with alpha0 = a0^2 = frac * min(x).
 
     gamma0 maximizes the likelihood at alpha0 with log S replaced by its
     i = k term, (k+1)^2 gamma^2 / 2 (exact at alpha = 0). Then
     g = gamma^2 solves (k+1)^2 g^2 + g = mean(t^2), t = ln(x - alpha0).
     """
-    xmin = float(data.values.min())
-    c = (k + 1.0) ** 2
-    inits = []
-    for frac in (0.5, 0.1, 0.9):
-        a0 = math.sqrt(frac * xmin)
-        t = np.log(data.values - a0 * a0)
-        mean_t2 = float(t @ t) / data.n
-        g2 = 2.0 * mean_t2 / (1.0 + math.sqrt(1.0 + 4.0 * c * mean_t2))
-        inits.append((a0, max(math.sqrt(g2), 1e-2)))
-    return inits
+    a0 = math.sqrt(frac * float(data.values.min()))
+    t = np.log(data.values - a0 * a0)
+    mean_t2 = float(t @ t) / data.n
+    g2 = 2.0 * mean_t2 / (1.0 + math.sqrt(1.0 + 4.0 * (k + 1.0) ** 2 * mean_t2))
+    return a0, max(math.sqrt(g2), 1e-2)
 
 
 def fit_given_k(data, k, init=None):
@@ -193,10 +188,14 @@ def fit_given_k(data, k, init=None):
 
     Newton runs on (a, gamma) with alpha = a^2, using the exact gradient
     and Hessian from the chain rule: l_a,a = 4 a^2 l_alpha,alpha + 2 l_alpha
-    and l_a,gamma = 2 a l_alpha,gamma. `init` is an optional (a0, gamma0) warm
-    start; it takes the place of the default start nearest the support
-    edge. The best converged candidate wins. Covariance comes from the
-    exact observed information in (alpha, gamma).
+    and l_a,gamma = 2 a l_alpha,gamma. Without `init`, Newton runs from
+    three default starts, alpha0 = 0.5, 0.1 and 0.9 times min(x). `init` is
+    an optional (a0, gamma0) warm start; with it, Newton runs from the warm
+    start and then the alpha0 = 0.1 min(x) start, which reaches the optima
+    that following the previous k's optimum misses (at alpha near 0 or away
+    from it), and from the alpha0 = 0.5 min(x) start only when neither of
+    those converged. The best converged candidate wins. Covariance comes
+    from the exact observed information in (alpha, gamma).
     """
     _check_spread(data)
     xmin = float(data.values.min())
@@ -221,26 +220,27 @@ def fit_given_k(data, k, init=None):
         return ((-2.0 * a * l_alpha, -l_gamma),
                 ((-(4.0 * a * a * h_aa + 2.0 * l_alpha), h_ag), (h_ag, -h_gg)))
 
-    candidates = _default_inits(data, k)
-    if init is not None:
-        # the warm start tracks an optimum found near the support edge, so
-        # it stands in for the default start closest to that edge
-        candidates = [tuple(init)] + candidates[:-1]
+    found = []
 
-    best = None
-    for a0, g0 in candidates:
-        if a0 * a0 >= barrier:
-            continue
-        try:
-            res = minimize(neg_loglik, [a0, g0], derivatives=derivatives)
-        except ValueError:
-            continue
-        if best is None or (res.converged and not best.converged) \
-                or (res.converged == best.converged and res.f_min < best.f_min):
-            best = res
+    def solve(a0, g0):
+        if a0 * a0 < barrier:
+            try:
+                found.append(minimize(neg_loglik, [a0, g0], derivatives=derivatives))
+            except ValueError:
+                pass
 
-    if best is None:
+    if init is None:
+        for frac in (0.5, 0.1, 0.9):
+            solve(*_default_init(data, k, frac))
+    else:
+        solve(*init)
+        solve(*_default_init(data, k, 0.1))
+        if not any(res.converged for res in found):
+            solve(*_default_init(data, k, 0.5))
+
+    if not found:
         raise FitError(f"no feasible starting point for k={k}")
+    best = min(found, key=lambda res: (not res.converged, res.f_min))
 
     a_hat = abs(float(best.x_min[0]))
     alpha_hat = a_hat * a_hat
@@ -271,8 +271,11 @@ def fit_given_k(data, k, init=None):
 def fit(data, k_min=0, k_max=10):
     """Profile the likelihood over the integer grid k_min..k_max.
 
-    Each k warm-starts from the previous solution. Selection is by
-    maximal log-likelihood among converged fits, ties toward smaller k.
+    The first k runs the three default starts of `fit_given_k`. Each later k
+    starts from the previous converged solution and from alpha0 = 0.1 min(x),
+    falling back to the alpha0 = 0.5 min(x) start only when neither
+    converges. Selection is by maximal log-likelihood among converged fits,
+    ties toward smaller k.
     """
     if k_min < 0 or k_max < k_min:
         raise ValueError(f"bad k grid [{k_min}, {k_max}]")

@@ -14,6 +14,7 @@ import pytest
 
 from gels import datasets
 from gels.cli import main, schema_path
+from gels.distribution import GelSParams, sample
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -264,6 +265,19 @@ class TestQuantileAndSample:
         rc, out = run(capsys, "sample", "--alpha", "1", "--k", "2", "--gamma",
                       "1", "--n", "3", "--seed", "1", "--format", "csv")
         assert out.splitlines()[0] == "value"
+
+    def test_sample_formats_match_scalar_formatting(self, capsys):
+        # each draw formatted as the numpy scalar it is, one at a time
+        draws = list(sample(GelSParams(1.0, 2, 1.0), 40, seed=11))
+        argv = ["sample", "--alpha", "1", "--k", "2", "--gamma", "1", "--n", "40",
+                "--seed", "11"]
+        assert run(capsys, *argv) == (0, "".join(f"{v:.17g}\n" for v in draws))
+        assert run(capsys, *argv, "--format", "csv") == (
+            0, "value\n" + "".join(f"{float(v)!r}\n" for v in draws))
+        payload = {"command": "sample", "params": {"alpha": 1.0, "k": 2, "gamma": 1.0},
+                   "n": 40, "seed": 11, "values": [float(v) for v in draws]}
+        assert run(capsys, *argv, "--format", "json") == (
+            0, json.dumps(payload, indent=2) + "\n")
 
     def test_sample_schema(self, capsys):
         payload = validated(capsys, "sample", "--alpha", "1", "--k", "2",

@@ -272,6 +272,28 @@ class TestQuantile:
         q = quantile(params, 1e-300)
         assert abs(cdf(params, q) / 1e-300 - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("triple", [(0.5, 1, 0.5),
+                                        (2.1861238596493044, 56, 0.042692050366358564)])
+    def test_upper_tail_next_to_one(self, triple):
+        # the cdf rounds short of p = 1 - 2^-53, so the root must come from
+        # the sf: (0.5, 1, 0.5) gave sf = 4.6e-18, the second raised
+        # BracketError
+        params = GelSParams(*triple)
+        p = 1.0 - 2.0 ** -53
+        q = quantile(params, p)
+        assert abs(sf(params, q) / (1.0 - p) - 1.0) <= 1e-9
+
+    def test_upper_tail_over_the_box(self):
+        # alpha in [1e-2, 1e3], k <= 60, gamma in [1e-2, 1], as TestParameterBox
+        rng = np.random.default_rng(53)
+        n = 1000
+        p = 1.0 - 2.0 ** -53
+        for a, k, g in zip(10.0 ** rng.uniform(-2.0, 3.0, n), rng.integers(0, 61, n),
+                           10.0 ** rng.uniform(-2.0, 0.0, n)):
+            params = GelSParams(a, int(k), g)
+            q = quantile(params, p)
+            assert abs(sf(params, q) / (1.0 - p) - 1.0) <= 1e-9, params
+
     @pytest.mark.parametrize("triple", [(10.0, 0, 1.0), (100.0, 3, 1.0), (1000.0, 0, 1.0)])
     def test_support_edge(self, triple):
         # alpha + e^y rounds to alpha here; the quantile must stay in the

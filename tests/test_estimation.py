@@ -1,5 +1,6 @@
 """Likelihood, score, observed information, grid fitting, intervals."""
 
+import dataclasses
 import math
 import sys
 
@@ -319,8 +320,63 @@ class TestFitCost:
         monkeypatch.setattr(optimize, "_loaded_step", counting_step)
         monkeypatch.setattr(estimation, "minimize", counting_minimize)
         fit(datasets.load("ball_bearings"), 0, 30)
-        assert sum(iterations) == 605
+        assert sum(iterations) == 368
         assert sum(iterations) <= len(factorizations) <= 900
+
+    def test_ball_bearings_grid_minimize_calls(self, monkeypatch):
+        # three starts at every k made 93 calls; each k after the first now
+        # runs two: the previous k's optimum and alpha0 = 0.1 min(x)
+        calls = []
+        real = estimation.minimize
+
+        def counting_minimize(objective, x0, **kwargs):
+            calls.append(x0)
+            return real(objective, x0, **kwargs)
+
+        monkeypatch.setattr(estimation, "minimize", counting_minimize)
+        sel = fit(datasets.load("ball_bearings"), 0, 30).selected
+        assert len(calls) <= 65
+        assert sel.converged and sel.k == 27
+        assert abs(sel.alpha_hat - 7.7954) <= 1e-4
+        assert abs(sel.gamma_hat - 0.4063) <= 1e-4
+
+
+class TestStarts:
+    @staticmethod
+    def grid_sets():
+        for name, k_max in (("ball_bearings", 30), ("leukaemia", 10), ("strength_10mm", 10)):
+            values = datasets.load(name).values
+            yield name, Dataset(values=values), k_max
+            yield f"{name}_times_7", Dataset(values=values * 7.0), 10
+
+    def test_grid_matches_three_default_starts(self):
+        # the grid's two starts per k lose no optimum that the three default
+        # starts find, including the interior optima near the support edge
+        for name, data, k_max in self.grid_sets():
+            for r in fit(data, 0, k_max).per_k:
+                cold = fit_given_k(data, r.k)
+                assert r.converged == cold.converged, (name, r.k)
+                assert r.loglik >= cold.loglik - 1e-10 * abs(cold.loglik), (name, r.k)
+
+    @pytest.mark.parametrize("converges", [True, False])
+    def test_half_start_only_as_fallback(self, monkeypatch, converges):
+        data = datasets.load("leukaemia")
+        warm = fit_given_k(data, 1)
+        starts = []
+        real = estimation.minimize
+
+        def spy(objective, x0, **kwargs):
+            starts.append(float(x0[0]) ** 2)
+            res = real(objective, x0, **kwargs)
+            return res if converges else dataclasses.replace(res, converged=False)
+
+        monkeypatch.setattr(estimation, "minimize", spy)
+        res = fit_given_k(data, 2, init=(warm.raw_a_hat, warm.gamma_hat))
+        xmin = float(data.values.min())
+        assert starts[0] == warm.raw_a_hat ** 2
+        want = [0.1, 0.5] if not converges else [0.1]
+        assert starts[1:] == pytest.approx([frac * xmin for frac in want], rel=1e-12)
+        assert res.converged == converges
 
 
 class TestFusedPath:
