@@ -50,6 +50,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+_SAMPLE_CHUNK = 4096   # lines per write of `gels sample` output
+
 # three-parameter location-shifted variants of these families are the
 # convention in classical reliability comparisons; both parameter counts
 # are reported and the best-model flags use the shifted count
@@ -189,16 +191,20 @@ def _csv_cell(v):
 
 
 def emit(args, payload, text_fn, csv_fn):
+    """Write the payload in the chosen format; `text_fn` and `csv_fn` return
+    the whole text, or an iterable of chunks written one after another."""
     if args.format == "json":
         content = json.dumps(_clean(payload), indent=2) + "\n"
     elif args.format == "csv":
         content = csv_fn()
     else:
         content = text_fn()
+    chunks = [content] if isinstance(content, str) else content
     if args.output:
-        Path(args.output).write_text(content)
+        with open(args.output, "w") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(content)
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 
@@ -289,12 +295,19 @@ def cmd_sample(args):
         "values": values,
     }
 
+    # chunks of lines keep the formatted text small however large n is
+    def lines(fmt):
+        for start in range(0, values.size, _SAMPLE_CHUNK):
+            yield "".join(map(fmt.format, values[start:start + _SAMPLE_CHUNK].tolist()))
+
     def text():
         # bare values, one per line, so the output pipes straight into `fit`
-        return "\n".join(f"{v:.17g}" for v in values.tolist()) + "\n"
+        return lines("{:.17g}\n")
 
     def as_csv():
-        return _csv_text(["value"], [[_csv_cell(v)] for v in values.tolist()])
+        # draws are finite floats, so each cell is repr(v), never quoted
+        yield "value\n"
+        yield from lines("{!r}\n")
 
     return emit(args, payload, text, as_csv)
 

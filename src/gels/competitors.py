@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .estimation import DegenerateDataError, information_criteria
+from .estimation import DegenerateDataError, FitError, information_criteria
 from .optimize import minimize
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -62,11 +62,14 @@ def _fit_log_parameterized(family, names, data, neg_loglik_of, theta0):
     x = data.values
 
     def objective(v):
-        if np.abs(v).max() > 50.0:
+        if not np.abs(v).max() <= 50.0:     # also rejects a NaN start
             return math.inf
         return neg_loglik_of(np.exp(v), x)
 
-    res = minimize(objective, np.log(theta0))
+    try:
+        res = minimize(objective, np.log(theta0))
+    except ValueError as exc:  # the start lies outside the box |log theta| <= 50
+        raise FitError(f"{family} fit: {exc}") from exc
     params = np.exp(res.x_min)
     return _package(family, names, params, -res.f_min, data.n,
                     converged=res.converged)
@@ -75,7 +78,8 @@ def _fit_log_parameterized(family, names, data, neg_loglik_of, theta0):
 def fit_gamma(data):
     """Gamma MLE, shape/rate."""
     x = data.values
-    m, v = float(x.mean()), float(x.var())
+    m = float(x.mean())
+    v = float((x / m).var())    # scale-free, so no overflow for huge values
     if v == 0.0:
         raise DegenerateDataError("zero variance; gamma fit is degenerate")
 
@@ -85,7 +89,7 @@ def fit_gamma(data):
                  + (shape - 1.0) * float(np.log(x).sum()) - rate * float(x.sum()))
 
     return _fit_log_parameterized("Gamma", ("shape", "rate"), data, nll,
-                                  [m * m / v, m / v])
+                                  [1.0 / v, 1.0 / (v * m)])
 
 
 def fit_weibull(data):

@@ -25,6 +25,8 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _XTOL = 1e-13          # root tolerance, relative to max(1, |y|)
 _MAX_ITER = 200        # Newton or bisection steps per root
 _MAX_DOUBLINGS = 60    # bracket growth before giving up
+_GAMMA_MIN = math.sqrt(sys.float_info.min)  # smallest gamma whose square is a normal float
+_BLOCK = 8192          # draws per block of the vectorized inverse
 
 
 class FloatOverflowError(OverflowError):
@@ -36,7 +38,7 @@ class FloatOverflowError(OverflowError):
 
 
 class MomentOverflowError(FloatOverflowError):
-    """Moment too large for a float; `log_value` carries log E[X^n]."""
+    """Moment or summary figure too large for a float; `log_value` carries its log."""
 
 
 class BracketError(RuntimeError):
@@ -52,10 +54,10 @@ class ConvergenceError(RuntimeError):
         self.hi = hi
 
 
-def ndtr(x):
-    """Elementwise standard normal cdf; `sample` calls it once per sweep."""
+def ndtr(x, out=None):
+    """Elementwise standard normal cdf; `sample` calls it once per block sweep."""
     from scipy.special import ndtr  # scipy loads only when drawing variates
-    return ndtr(x)
+    return ndtr(x, out=out)
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,10 @@ class GelSParams:
             raise ValueError(f"k must be a nonnegative integer, got {self.k}")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if self.gamma * self.gamma < sys.float_info.min:
+            # the component means (i+1) gamma^2 and the summary need gamma^2
+            raise ValueError(f"gamma^2 underflows a float, need gamma >= {_GAMMA_MIN!r}, "
+                             f"got {self.gamma}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "gamma", float(self.gamma))
@@ -123,7 +129,8 @@ def _mixture(params):
     since lru_cache hands back shared objects.
     """
     w = log_series_sum(params.alpha, params.gamma, params.k).weights
-    mus = np.arange(1.0, params.k + 2.0) * params.gamma**2
+    g2 = params.gamma**2 if params.gamma < 1e154 else math.inf  # float ** raises past the range
+    mus = np.arange(1.0, params.k + 2.0) * g2
     if params.alpha == 0.0:
         mus, w = mus[-1:], w[-1:]
     mus.flags.writeable = False
@@ -295,13 +302,17 @@ def _quantile_log_scale(params, p):
             dens += wi * math.exp(-0.5 * t * t)
         return acc - p, dens * scale
 
-    pad = 1e-6 * g
-    lo = comps[0][0] + g * z - pad
-    hi = expand_bracket(excess, lo, comps[-1][0] + g * z + pad)
+    lo, hi = comps[0][0] + g * z, comps[-1][0] + g * z
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # gamma^2 past the float range
+        raise FloatOverflowError("quantile overflows a float (ln(x - alpha) = inf)", math.inf)
+    # where the means dwarf gamma, 1e-6 gamma is below their rounding
+    pad = max(1e-6 * g, 4.0 * math.ulp(max(abs(lo), abs(hi))))
+    lo -= pad
+    hi = expand_bracket(excess, lo, hi + pad)
     mean = sum(wi * mu for mu, wi in comps)
-    var = sum(wi * (mu - mean) ** 2 for mu, wi in comps)
+    var = sum(wi * (mu - mean) * (mu - mean) for mu, wi in comps)
     y = mean + z * math.sqrt(g * g + var)
-    return sign * solve_bracketed(excess, lo, hi, min(max(y, lo), hi))
+    return sign * solve_bracketed(excess, lo, hi, max(lo, min(y, hi)))  # a NaN y starts at lo
 
 
 def quantile(params, p):
@@ -317,71 +328,179 @@ def quantile(params, p):
     return q if q > params.alpha else math.nextafter(params.alpha, math.inf)
 
 
+def _invert(mus, w, g, u):
+    """y = ln(x - alpha) with mixture cdf equal to u, elementwise.
+
+    `solve_bracketed` run over an active set: each element takes the same
+    Newton or bisection steps from the same moment-matched start, stops by
+    the same rule, and for u > 0.5 solves for -y at level 1 - u, as
+    `_quantile_log_scale` does. Draws run in blocks of `_BLOCK`, reusing two
+    K x block buffers, and an element leaves the active set once it stops.
+    """
+    from scipy.special import ndtri
+
+    k = mus.size
+    scale = math.exp(-0.5 * LOG_2PI) / g
+    mean = float(w @ mus)
+    spread = math.sqrt(g * g + float(w @ (mus - mean) ** 2))
+    out = np.empty(u.size)
+    t_buf = np.empty(k * min(u.size, _BLOCK))
+    e_buf = np.empty_like(t_buf)
+    for start in range(0, u.size, _BLOCK):
+        ub = u[start:start + _BLOCK]
+        # per element: sign s = -1 solves for -y at p = 1 - u
+        sign = np.where(ub > 0.5, -1.0, 1.0)
+        p = np.where(ub > 0.5, 1.0 - ub, ub)
+        z = ndtri(p)
+        lo = np.where(sign > 0, mus[0], -mus[-1]) + g * z - 1e-9
+        hi = np.where(sign > 0, mus[-1], -mus[0]) + g * z + 1e-9
+        y = np.clip(sign * mean + z * spread, lo, hi)
+        step = last = hi - lo
+        idx = np.arange(ub.size)
+        for _ in range(_MAX_ITER):
+            t = t_buf[:k * idx.size].reshape(k, idx.size)
+            e = e_buf[:t.size].reshape(t.shape)
+            np.subtract(sign * y, mus[:, None], out=t)
+            t /= g
+            t *= sign                        # t of the reflected mixture
+            value = w @ ndtr(t, out=e) - p
+            np.multiply(t, t, out=e)
+            e *= -0.5
+            slope = (w @ np.exp(e, out=e)) * scale
+            below = value < 0.0
+            lo = np.where(below, y, lo)
+            hi = np.where(below, hi, y)
+            tol = _XTOL * np.maximum(1.0, np.abs(y))
+            newton = np.full_like(y, np.inf)
+            np.divide(value, slope, out=newton, where=slope > 0.0)
+            small = np.abs(newton) <= tol
+            root = np.where(small, np.clip(y - newton, lo, hi), y)
+            stop = small | (hi - lo <= tol)
+            out[start + idx[stop]] = sign[stop] * root[stop]
+            keep = ~stop
+            if not keep.any():
+                break
+            cand = y - newton
+            take = (lo < cand) & (cand < hi) & (2.0 * np.abs(newton) <= np.abs(last))
+            mid = 0.5 * (lo + hi)
+            last, step = step, np.where(take, newton, y - mid)
+            y = np.where(take, cand, mid)
+            idx, sign, p, y, lo, hi, step, last = (
+                a[keep] for a in (idx, sign, p, y, lo, hi, step, last))
+        else:
+            raise ConvergenceError(f"no convergence in {_MAX_ITER} steps",
+                                   float(lo.min()), float(hi.max()))
+    return out
+
+
 def sample(params, n, seed):
     """Inverse-transform sample of size n.
 
     Uniforms come from numpy's PCG64 generator (documented period 2^128)
-    seeded with `seed`, so output is fully deterministic. Each variate
-    solves cdf(x) = u on the log scale by a bisection-safeguarded Newton
-    iteration, vectorized across the whole draw; tolerance matches the
-    scalar `quantile` path. A draw past the float range raises
-    FloatOverflowError carrying the largest ln(x - alpha).
+    seeded with `seed`, so output is fully deterministic. Each draw is
+    quantile(u), to about 1e-15 relative: a blocked active-set inverse takes
+    the scalar solver's safeguarded Newton steps on ln(x - alpha) for many
+    draws at once, so its memory is bounded by the block of 8192 draws, not
+    by n. A draw past the float range raises FloatOverflowError carrying the
+    largest ln(x - alpha).
     """
-    from scipy.special import ndtri
-
     if n != int(n) or n < 0:
         raise ValueError(f"sample size must be a nonnegative integer, got {n}")
     n = int(n)
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    u = np.maximum(u, 2.0**-53)  # rng.random is [0, 1); keep strictly inside
+    np.maximum(u, 2.0**-53, out=u)  # rng.random is [0, 1); keep strictly inside
 
     mus, w = _mixture(params)
-    g = params.gamma
-    z = ndtri(u)
-    lo = mus.min() + g * z - 1e-9
-    hi = mus.max() + g * z + 1e-9
-    y = 0.5 * (lo + hi)
-    inv_sqrt2pi = 1.0 / math.sqrt(2.0 * math.pi)
-    for _ in range(90):
-        t = (y[None, :] - mus[:, None]) / g
-        diff = (w[:, None] * ndtr(t)).sum(axis=0) - u
-        dens = (w[:, None] * np.exp(-0.5 * t * t)).sum(axis=0) * inv_sqrt2pi / g
-        width = hi - lo
-        if (np.abs(diff) <= 1e-12).all() or (width <= 1e-12 * np.maximum(1.0, np.abs(y))).all():
-            break
-        hi = np.where(diff > 0.0, y, hi)
-        lo = np.where(diff <= 0.0, y, lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y_new = y - diff / dens
-        bad = ~np.isfinite(y_new) | (y_new <= lo) | (y_new >= hi)
-        y = np.where(bad, 0.5 * (lo + hi), y_new)
-    with np.errstate(over="ignore"):
-        x = params.alpha + np.exp(y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = _invert(mus, w, params.gamma, u)    # ln(x - alpha) until the exp
+        y_max = float(x.max(initial=-np.inf))
+        np.exp(x, out=x)
+        x += params.alpha
     if np.isinf(x).any():
-        y_max = float(y.max())
         raise FloatOverflowError(
             f"draws overflow a float (ln(x - alpha) up to {y_max:.3f})", y_max)
-    return x
+    # as quantile: inside the open support, the smallest float above alpha at least
+    return np.maximum(x, math.nextafter(params.alpha, math.inf), out=x)
+
+
+def _overflow_check(value, log_value, what):
+    """`value` as a float if finite; else MomentOverflowError carrying `log_value`."""
+    value, log_value = float(value), float(log_value)
+    if math.isfinite(value):
+        return value
+    raise MomentOverflowError(f"{what} overflows a float (log value {log_value:.3f})", log_value)
 
 
 def summary(params):
     """First four moments (central form), mode, and median in one record.
 
-    Skewness and kurtosis use the raw-to-central recursions
-        skew = (E[X^3] - 3 mu var - mu^3) / var^(3/2)
-        kurt = (E[X^4] - 4 mu var^(3/2) skew - 6 mu^2 var - mu^4) / var^2.
+    Central moments are shift-invariant, so they are those of e^Y, where
+    Y = ln(X - alpha) is the normal mixture with weights w_i, means mu_i and
+    sd gamma; alpha enters only the mean. With E = expm1(gamma^2), the
+    component means of e^Y scaled by e^-s (s = log E[e^Y]), m_i, and
+    d_i = m_i - sum_j w_j m_j, the component central moments are
+    v_i = m_i^2 E, c3_i = m_i^3 E^2 (E + 3) and
+    c4_i = m_i^4 E^2 (E^4 + 6E^3 + 15E^2 + 16E + 3), and the mixture law gives
+        mu2 = sum w (v + d^2)
+        mu3 = sum w (c3 + 3 d v + d^3)
+        mu4 = sum w (c4 + 4 d c3 + 6 d^2 v + d^4),
+    each formed divided by a power of E, so nothing cancels, and each
+    w m^a d^b in log space, so no power overflows on its own. A figure past
+    the float range raises MomentOverflowError carrying its log value.
     """
-    m1 = moment(params, 1)
-    m2 = moment(params, 2)
-    m3 = moment(params, 3)
-    m4 = moment(params, 4)
-    var = m2 - m1 * m1
-    sd = math.sqrt(var)
-    skew = (m3 - 3.0 * m1 * var - m1**3) / sd**3
-    kurt = (m4 - 4.0 * m1 * sd**3 * skew - 6.0 * m1**2 * var - m1**4) / var**2
+    mus, w = _mixture(params)
+    keep = w > 0.0      # an underflowed weight would meet an infinite m_i as 0 * inf
+    mus, w = mus[keep], w[keep]
+    g2 = params.gamma * params.gamma
+    e = math.expm1(g2) if g2 < _LOG_FLOAT_MAX else math.inf
+    log_e = g2 + math.log(-math.expm1(-g2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_w = np.log(w)
+        x = mus + 0.5 * g2                  # log means of the components of e^Y
+        s = float(w @ x)
+        x -= s
+        dm = np.expm1(x)
+        # s to log E[e^Y]; expm1 keeps the digits when the means are close
+        shift = (math.log1p(float(w @ dm)) if np.isfinite(dm).all()
+                 else float(np.logaddexp.reduce(log_w + x)))
+        s += shift
+        x -= shift                          # log m_i
+        dm = np.expm1(x)                    # m_i - 1
+        d = dm - w @ dm
+        log_d, sign_d = np.log(np.abs(d)), np.sign(d)
+
+        def term(a, b):
+            """sum w m^a d^b, a numpy scalar: no exception past the float range"""
+            if b == 0:
+                return np.exp(log_w + a * x).sum()
+            return (sign_d ** b * np.exp(log_w + a * x + b * log_d)).sum()
+
+        poly = (((e + 6.0) * e + 15.0) * e + 16.0) * e + 3.0
+        m2, m3, m4 = term(2, 0), term(3, 0), term(4, 0)
+        s2 = m2 + term(0, 2) / e                                        # mu2 / E
+        s3 = (e + 3.0) * m3 + 3.0 * term(2, 1) / e + term(0, 3) / e / e  # mu3 / E^2
+        s4 = (poly * m4 + 4.0 * (e + 3.0) * term(3, 1)                  # mu4 / E^2
+              + 6.0 * term(2, 2) / e + term(0, 4) / e / e)
+        skew = s3 * np.sqrt(e) / s2 ** 1.5
+        kurt = s4 / s2 ** 2
+        log_s2 = np.log(s2)
+        log_excess = s + np.log1p(w @ dm)       # log E[e^Y] = log(mean - alpha)
+        log_mean = np.logaddexp(np.log(params.alpha), log_excess)
+        log_var = log_s2 + log_e + 2.0 * s
+        # past the float range only the leading terms count: E^(3/2) m^3 and E^4 m^4
+        log_poly = (4.0 * log_e + np.log1p((6.0 + (15.0 + (16.0 + 3.0 / e) / e) / e) / e)
+                    if e > 1.0 else np.log(poly))
+        log_skew = np.log(m3) + 1.5 * (log_e - log_s2)
+        log_kurt = np.log(m4) + log_poly - 2.0 * log_s2
+        mean = params.alpha + np.exp(log_excess)
+        var = np.exp(log_var)
+    mean = _overflow_check(mean, log_mean, "mean")
+    var = _overflow_check(var, log_var, "variance")
+    skew = _overflow_check(skew, log_skew, "skewness")
+    kurt = _overflow_check(kurt, log_kurt, "kurtosis")
     return DistributionSummary(
-        mean=m1,
+        mean=mean,
         variance=var,
         skewness=skew,
         kurtosis=kurt,

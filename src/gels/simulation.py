@@ -9,6 +9,7 @@ byte-for-byte.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,17 +112,27 @@ def _run_replication(config, seed):
     return outcome, trace
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_study(config, workers=1):
     """Run the study described by `config`.
 
     Sub-seeds are spawned deterministically from the master seed, one per
-    replication, so results do not depend on `workers` or scheduling.
+    replication, so results do not depend on `workers` or scheduling. The
+    thread pool is capped at min(workers, replications, usable CPUs).
     A replication whose fit fails outright is recorded as non-converged
     and the study continues.
     """
     seeds = np.random.SeedSequence(config.seed).generate_state(
         config.replications, dtype=np.uint64)
-    if workers > 1 and config.replications > 1:
+    workers = min(workers, config.replications, _cpu_count())
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,5 +1,8 @@
 """Command-line interface: formats, schemas, exit codes, round trips."""
 
+import concurrent.futures
+import contextlib
+import csv
 import io
 import json
 import math
@@ -11,6 +14,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gels import datasets
 from gels.cli import main, schema_path
@@ -279,6 +284,25 @@ class TestQuantileAndSample:
         assert run(capsys, *argv, "--format", "json") == (
             0, json.dumps(payload, indent=2) + "\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_streamed_output_matches_joined_formatting(self, tmp_path, fmt):
+        # more lines than one write chunk, so the chunk seams are covered
+        n = 100_000
+        path = tmp_path / f"draws.{fmt}"
+        assert main(["sample", "--alpha", "0.5", "--k", "1", "--gamma", "0.5",
+                     "--n", str(n), "--seed", "8", "--format", fmt,
+                     "--output", str(path)]) == 0
+        draws = sample(GelSParams(0.5, 1, 0.5), n, seed=8).tolist()
+        if fmt == "text":
+            expected = "".join(f"{v:.17g}\n" for v in draws)
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["value"])
+            writer.writerows([repr(v)] for v in draws)
+            expected = buf.getvalue()
+        assert path.read_text() == expected
+
     def test_sample_schema(self, capsys):
         payload = validated(capsys, "sample", "--alpha", "1", "--k", "2",
                             "--gamma", "1", "--n", "4", "--seed", "3")
@@ -362,6 +386,32 @@ class TestSimulate:
                      "--kmax", "2", "--seed", "1"]) == 2
         capsys.readouterr()
 
+    def test_config_reports_requested_workers(self, capsys, monkeypatch):
+        # the pool is capped, but the payload keeps the count that was asked for;
+        # the stand-in executor starts no threads
+        seen = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        payload = validated(capsys, "simulate", "--study", "I", "--n", "200",
+                            "--kmin", "2", "--kmax", "2", "--seed", "1",
+                            "--replications", "2", "--workers", "5000")
+        assert payload["config"]["workers"] == 5000
+        assert seen == [2]
+
     def test_needs_study_or_triple(self, capsys):
         assert main(["simulate", "--n", "200", "--seed", "1"]) == 2
         capsys.readouterr()
@@ -426,3 +476,57 @@ class TestPdfCurve:
         assert main(["pdf-curve", "--alpha", "0.5", "--k", "1", "--gamma",
                      "0.5", "--bins", "5"]) == 2
         capsys.readouterr()
+
+
+class TestExitContract:
+    """Every input the CLI accepts ends with exit 0, 2, 3 or 4."""
+
+    @pytest.mark.parametrize("argv, code", [
+        # gamma^2 underflows: rejected up front, no ZeroDivisionError
+        (["stats", "--alpha", "1e-300", "--k", "0", "--gamma", "5e-324"], 2),
+        # ... and no empty quantile bracket
+        (["quantile", "--alpha", "7.7954", "--k", "60", "--gamma", "5e-324",
+          "--p", "0.9999999999999999"], 2),
+        # raw-to-central cancellation made this variance negative
+        (["stats", "--alpha", "1e3", "--k", "200", "--gamma", "1e-8"], 0),
+        # the means dwarf gamma's pad, or gamma^2 leaves the float range
+        (["quantile", "--alpha", "7.7954", "--k", "0", "--gamma", "1e100", "--p", "0.5"], 4),
+        (["quantile", "--alpha", "0", "--k", "27", "--gamma", "1e300", "--p", "0.9"], 4),
+        (["stats", "--alpha", "0", "--k", "0", "--gamma", "1.7e308"], 4),
+        (["sample", "--alpha", "0", "--k", "27", "--gamma", "1e300", "--n", "3"], 4),
+    ])
+    def test_pinned_reproducers(self, capsys, argv, code):
+        assert main(argv) == code
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("values", [[1e300, 1.5e300, 3e300], [1.0, 1e300]])
+    def test_compare_on_huge_values(self, capsys, tmp_path, values):
+        # var(x) overflowed to inf and the gamma start reached math.log(0)
+        path = tmp_path / "huge.txt"
+        path.write_text("".join(f"{v!r}\n" for v in values))
+        assert main(["fit", str(path), "--kmax", "2"]) == 0
+        assert main(["compare", str(path), "--kmax", "2"]) == 4
+        assert "Gamma fit" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["stats", "quantile", "sample"]),
+           alpha=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 7.7954, 1e3, 1e300,
+                                            1.7e308, -1.0]),
+                           st.floats(0.0, 1.7e308)),
+           k=st.sampled_from([0, 1, 2, 27, 60, 200]),
+           gamma=st.one_of(st.sampled_from([5e-324, 1e-300, 1e-160, 1.4916681462400413e-154,
+                                            1e-8, 0.01, 0.4063, 1.0, 15.0, 30.0, 1e3, 1e100,
+                                            1.7e308, 0.0]),
+                           st.floats(5e-324, 1.7e308)),
+           p=st.one_of(st.sampled_from([5e-324, 1e-300, 2.2e-16, 0.5, 1.0 - 2.0 ** -53]),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+           n=st.integers(1, 20), fmt=st.sampled_from(["text", "json", "csv"]))
+    def test_no_exception_escapes(self, command, alpha, k, gamma, p, n, fmt):
+        argv = [command, "--alpha", repr(alpha), "--k", str(k), "--gamma", repr(gamma),
+                "--format", fmt]
+        if command == "quantile":
+            argv += ["--p", repr(p)]
+        elif command == "sample":
+            argv += ["--n", str(n), "--seed", "3"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3, 4)

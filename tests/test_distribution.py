@@ -1,13 +1,17 @@
 """Density, cdf/sf, moments, summary, mode, quantile, sampling."""
 
 import math
+import sys
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gels import distribution
 from gels.distribution import (
     FloatOverflowError,
     GelSParams,
@@ -55,6 +59,15 @@ class TestParams:
             GelSParams(0.0, 0, 0.0)
         with pytest.raises(ValueError):
             GelSParams(0.0, 1.5, 1.0)
+
+    def test_gamma_square_must_be_a_normal_float(self):
+        # gamma^2 sets the component means; once it underflows they all
+        # collapse onto 0 and the summary divides by a zero variance
+        smallest = math.sqrt(sys.float_info.min)
+        assert GelSParams(0.0, 0, smallest).gamma == smallest
+        for gamma in (5e-324, 1e-160, math.nextafter(smallest, 0.0)):
+            with pytest.raises(ValueError):
+                GelSParams(1e-300, 0, gamma)
 
     def test_frozen(self):
         p = GelSParams(0.5, 1, 0.5)
@@ -402,6 +415,68 @@ class TestSummary:
         assert s.variance > 0
 
 
+def mp_summary(triple, dps=60):
+    """Mean, variance, skewness and kurtosis from the series' raw moments
+    E[X^n] = S(alpha, gamma, n + k) / S(alpha, gamma, k) at `dps` digits."""
+    alpha, k, gamma = triple
+    with mpmath.workdps(dps):
+        a, g = mpmath.mpf(alpha), mpmath.mpf(gamma)
+
+        def series(m):
+            return mpmath.fsum(mpmath.binomial(m, i) * a ** (m - i)
+                               * mpmath.exp((i + 1) ** 2 * g * g / 2) for i in range(m + 1))
+
+        base = series(k)
+        m1, m2, m3, m4 = (series(n + k) / base for n in (1, 2, 3, 4))
+        var = m2 - m1 ** 2
+        mu3 = m3 - 3 * m1 * m2 + 2 * m1 ** 3
+        mu4 = m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4
+        return tuple(float(v) for v in (m1, var, mu3 / var ** 1.5, mu4 / var ** 2))
+
+
+def assert_matches_oracle(params, dps=60):
+    s = summary(params)
+    mean, var, skew, kurt = mp_summary((params.alpha, params.k, params.gamma), dps)
+    # 3,500 seeded box triples stayed within 1.4e-14 (mean) and 4.7e-14
+    assert s.mean == pytest.approx(mean, rel=1e-13)
+    assert s.variance == pytest.approx(var, rel=2e-13)
+    assert s.skewness == pytest.approx(skew, rel=2e-13)
+    assert s.kurtosis == pytest.approx(kurt, rel=2e-13)
+
+
+class TestSummaryCentralMoments:
+    """summary against a 60-digit oracle where raw-to-central moments cancel."""
+
+    @pytest.mark.parametrize("triple", [
+        (200.0, 2, 0.02), (1000.0, 0, 0.01), (50.0, 5, 0.05),
+        (0.5, 1, 0.5), (7.7954, 27, 0.4063), (2.0, 4, 0.5),
+    ])
+    def test_oracle(self, triple):
+        assert_matches_oracle(GelSParams(*triple))
+
+    def test_variance_positive_where_raw_moments_cancel(self):
+        # (E[X]/sd)^4 is about 1e44 here; the oracle needs 60 more digits
+        params = GelSParams(1e3, 200, 1e-8)
+        assert_matches_oracle(params, dps=120)
+        assert summary(params).variance > 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.one_of(st.just(0.0), st.floats(1e-2, 1e3)),
+           k=st.integers(0, 60), gamma=st.floats(1e-2, 1.0))
+    def test_box_sweep(self, alpha, k, gamma):
+        params = GelSParams(alpha, k, gamma)
+        assert_matches_oracle(params)
+        s = summary(params)
+        assert s.kurtosis >= 1.0 + s.skewness ** 2
+        assert abs(cdf(params, s.median) - 0.5) <= 1e-10
+
+    def test_overflow_carries_log_value(self):
+        # log-normal with mu = sigma^2 = 225: log variance = 4 sigma^2 + log(1 - e^-225)
+        with pytest.raises(MomentOverflowError) as err:
+            summary(GelSParams(0.0, 0, 15.0))
+        assert err.value.log_value == pytest.approx(900.0, rel=1e-14)
+
+
 class TestSample:
     def test_support_and_determinism(self):
         p = GelSParams(0.5, 1, 0.5)
@@ -436,3 +511,58 @@ class TestSample:
         u = np.maximum(rng.random(50), 2.0 ** -53)
         expected = np.array([quantile(p, ui) for ui in u])
         assert np.allclose(x, expected, rtol=1e-9, atol=1e-12)
+
+
+# (0.5, 1, 0.6) and (1, 2, 1) are small-k triples, (7.7954, 27, 0.4063) the
+# ball_bearings fit, (43.444, 60, 0.05) 61 components far from alpha = 0, and
+# (0, 3, 0.6) the one-component log-normal boundary
+SAMPLER_TRIPLES = [(0.5, 1, 0.6), (7.7954, 27, 0.4063), (1.0, 2, 1.0),
+                   (43.444, 60, 0.05), (0.0, 3, 0.6)]
+
+
+def uniforms(n, seed):
+    return np.maximum(np.random.default_rng(seed).random(n), 2.0 ** -53)
+
+
+class TestBlockedInverse:
+    @pytest.mark.parametrize("triple", SAMPLER_TRIPLES)
+    def test_draws_equal_scalar_quantile(self, triple):
+        p = GelSParams(*triple)
+        u = uniforms(500, 23)
+        assert (u > 0.5).any() and (u < 0.5).any()
+        expected = np.array([quantile(p, v) for v in u])
+        np.testing.assert_allclose(sample(p, 500, seed=23), expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("triple", SAMPLER_TRIPLES)
+    def test_extreme_levels(self, triple):
+        # the generator never yields the 2^-53 floor itself, so the levels go in directly
+        p = GelSParams(*triple)
+        u = np.array([2.0 ** -53, 1e-9, 0.5, 0.5 + 2.0 ** -53, 1.0 - 1e-9, 1.0 - 2.0 ** -53])
+        mus, w = distribution._mixture(p)
+        y = distribution._invert(mus, w, p.gamma, u)
+        expected = np.array([quantile(p, v) for v in u])
+        np.testing.assert_allclose(p.alpha + np.exp(y), expected, rtol=1e-13, atol=0.0)
+
+    def test_block_edges(self):
+        b = distribution._BLOCK
+        p = GelSParams(0.5, 1, 0.5)
+        longest = 3 * b + 5
+        u = uniforms(longest, 4)
+        full = sample(p, longest, seed=4)
+        for n in (1, b - 1, b, b + 1, longest):
+            x = sample(p, n, seed=4)
+            np.testing.assert_allclose(x, full[:n], rtol=1e-15, atol=0.0)
+            for i in {0, n - 1, min(b - 1, n - 1), min(b, n - 1)}:
+                assert x[i] == pytest.approx(quantile(p, u[i]), rel=1e-13)
+
+    def test_memory_bounded_by_the_block(self):
+        # at 61 components a K x n sweep of 50,000 draws needs about 73 MiB
+        p = GelSParams(43.444, 60, 0.05)
+        sample(p, 10, seed=1)  # scipy and the mixture cache load outside the trace
+        tracemalloc.start()
+        try:
+            sample(p, 50_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2 ** 20

@@ -1,6 +1,9 @@
 """Monte Carlo study runner: determinism, recovery, coverage plumbing."""
 
+import concurrent.futures
+import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,3 +96,34 @@ class TestRecoveryAndCoverage:
         assert 0.0 <= report.coverage_gamma <= 1.0
         assert len(report.replications) == 20
         assert sum(report.k_counts.values()) == 20
+
+
+class TestPoolCap:
+    def test_capped_at_replications_and_cpus(self, monkeypatch):
+        # a stand-in executor records max_workers and runs serially, so no
+        # thread is started however many are asked for
+        seen = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        config = StudyConfig(true_params=STUDY_PARAMS["I"], n=200, k_grid=(2, 2),
+                             seed=3, replications=5)
+        serial = run_study(config, workers=1)
+        assert seen == []
+        assert pickle.dumps(run_study(config, workers=5000)) == pickle.dumps(serial)
+        run_study(replace(config, replications=2), workers=5000)
+        run_study(config, workers=2)
+        assert seen == [3, 2, 2]
