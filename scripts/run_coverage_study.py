@@ -18,7 +18,6 @@ def main():
     ap.add_argument("--n", type=int, default=2000)
     ap.add_argument("--replications", type=int, default=200)
     ap.add_argument("--seed", type=int, default=20260814)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--study", choices=("I", "II"), default="I")
     args = ap.parse_args()
 
@@ -27,7 +26,7 @@ def main():
                          k_grid=(truth.k, truth.k), seed=args.seed,
                          replications=args.replications)
     t0 = time.time()
-    report = run_study(config, workers=args.workers)
+    report = run_study(config)
     dt = time.time() - t0
 
     ok = [o for o in report.replications if o.converged]

@@ -12,11 +12,11 @@ import time
 from gels.simulation import STUDY_PARAMS, StudyConfig, run_study
 
 
-def show(study, n, seed, workers):
+def show(study, n, seed):
     truth = STUDY_PARAMS[study]
     config = StudyConfig(true_params=truth, n=n, k_grid=(0, 6), seed=seed)
     t0 = time.time()
-    report = run_study(config, workers=workers)
+    report = run_study(config)
     dt = time.time() - t0
 
     print(f"study {study}  truth=(alpha={truth.alpha:g}, k={truth.k}, "
@@ -42,13 +42,12 @@ def main():
     ap.add_argument("--seed", type=int, default=20260814)
     ap.add_argument("--sizes", default="1000,10000",
                     help="comma-separated sample sizes")
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     for study in ("I", "II"):
         for n in sizes:
-            show(study, n, args.seed, args.workers)
+            show(study, n, args.seed)
 
 
 if __name__ == "__main__":

@@ -733,7 +733,8 @@ def build_parser():
     p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--replications", type=int, default=1)
     p.add_argument("--workers", type=int, default=None,
-                   help="thread count (default: GELS_THREADS or 1)")
+                   help="at least 1, reported as config.workers; replications run serially "
+                        "(default: GELS_THREADS or 1)")
     _add_format_options(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special_math import LOG_2PI, log_series_sum, std_normal_cdf, std_normal_quantile
+from .special_math import (LOG_2PI, FloatOverflowError, log_series_sum,
+                           std_normal_cdf, std_normal_quantile)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _XTOL = 1e-13          # root tolerance, relative to max(1, |y|)
@@ -27,14 +28,6 @@ _MAX_ITER = 200        # Newton or bisection steps per root
 _MAX_DOUBLINGS = 60    # bracket growth before giving up
 _GAMMA_MIN = math.sqrt(sys.float_info.min)  # smallest gamma whose square is a normal float
 _BLOCK = 8192          # draws per block of the vectorized inverse
-
-
-class FloatOverflowError(OverflowError):
-    """A result too large for a float; `log_value` carries its log."""
-
-    def __init__(self, message, log_value):
-        super().__init__(message)
-        self.log_value = log_value
 
 
 class MomentOverflowError(FloatOverflowError):

@@ -20,8 +20,8 @@ import numpy as np
 # log_norm_const, log_series_sum_partials: unused here, but perfbench/tracer.py wraps them here
 from .distribution import GelSParams, log_norm_const  # noqa: F401
 from .optimize import minimize
-from .special_math import (LOG_2PI, log_series_sum, log_series_sum_partials,  # noqa: F401
-                           std_normal_quantile)
+from .special_math import (LOG_2PI, FloatOverflowError, log_series_sum,  # noqa: F401
+                           log_series_sum_partials, std_normal_quantile)
 
 
 class DegenerateDataError(ValueError):
@@ -135,10 +135,10 @@ class _Point:
 
 
 def log_likelihood(params, data):
-    """Full-sample log-likelihood; -inf when any point is off the support."""
+    """Full-sample log-likelihood; -inf off the support or when log S overflows."""
     try:
         return _Point(data, params.alpha, params.gamma, params.k).value
-    except ValueError:
+    except (ValueError, FloatOverflowError):
         return -math.inf
 
 
@@ -208,7 +208,10 @@ def fit_given_k(data, k, init=None):
         a, g = float(v[0]), float(v[1])
         if a * a >= barrier or g <= 0.0:
             return math.inf
-        last = (a, g), _Point(data, a * a, g, k)
+        try:
+            last = (a, g), _Point(data, a * a, g, k)
+        except FloatOverflowError:  # log S = inf, so -log L = inf
+            return math.inf
         return -last[1].value
 
     def derivatives(v):

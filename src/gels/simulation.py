@@ -9,7 +9,6 @@ byte-for-byte.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,33 +111,19 @@ def _run_replication(config, seed):
     return outcome, trace
 
 
-def _cpu_count():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def run_study(config, workers=1):
     """Run the study described by `config`.
 
     Sub-seeds are spawned deterministically from the master seed, one per
-    replication, so results do not depend on `workers` or scheduling. The
-    thread pool is capped at min(workers, replications, usable CPUs).
-    A replication whose fit fails outright is recorded as non-converged
-    and the study continues.
+    replication, and the replications run one after another. `workers` is
+    accepted and ignored: the replications hold the GIL between short numpy
+    calls, so a thread pool only added hand-off cost, and a process pool can
+    only add CPU time. A replication whose fit fails outright is recorded
+    as non-converged and the study continues.
     """
     seeds = np.random.SeedSequence(config.seed).generate_state(
         config.replications, dtype=np.uint64)
-    workers = min(workers, config.replications, _cpu_count())
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _run_replication(config, s), seeds))
-    else:
-        results = [_run_replication(config, s) for s in seeds]
+    results = [_run_replication(config, s) for s in seeds]
 
     outcomes = [r[0] for r in results]
     first_trace = results[0][1]

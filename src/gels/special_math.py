@@ -24,6 +24,14 @@ _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
 
+class FloatOverflowError(OverflowError):
+    """A result too large for a float; `log_value` carries its log."""
+
+    def __init__(self, message, log_value):
+        super().__init__(message)
+        self.log_value = log_value
+
+
 def std_normal_cdf(z):
     """Standard normal cdf via the complementary error function.
 
@@ -133,13 +141,20 @@ def log_series_sum(alpha, gamma, m):
     The log terms come from the cached layout of order m and are summed
     with a max-shifted exp-sum. At alpha = 0 only the i = m term survives
     (0^0 = 1 convention), giving log S = (m+1)^2 gamma^2 / 2 exactly.
+    Past the float range it raises FloatOverflowError carrying log S = inf.
     """
     _check_series_args(alpha, gamma, m)
     m = int(m)
     lay = _layout(m)
     h = 0.5 * gamma * gamma
+    # log T_m; no log T_i exceeds it by more than m ln(2 max(1, alpha)), so
+    # when it is finite so is the largest, and no inf - inf reaches `shifted`
+    top = h * (m + 1) ** 2
+    if not math.isfinite(top):
+        raise FloatOverflowError(f"log S({alpha!r}, {gamma!r}, {m}) overflows a float "
+                                 "(log value inf)", math.inf)
     if alpha == 0.0:
-        top, shifted = h * (m + 1) ** 2, lay.tip
+        shifted = lay.tip
     else:
         log_t = np.array((1.0, math.log(alpha), h)) @ lay.terms
         top = float(log_t.max())

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -387,30 +388,17 @@ class TestSimulate:
         capsys.readouterr()
 
     def test_config_reports_requested_workers(self, capsys, monkeypatch):
-        # the pool is capped, but the payload keeps the count that was asked for;
-        # the stand-in executor starts no threads
-        seen = []
+        # replications run serially, but the payload keeps the count that
+        # was asked for; the stand-in executor fails if a pool is built
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread pool was built")
 
-        class Recorder:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
         payload = validated(capsys, "simulate", "--study", "I", "--n", "200",
                             "--kmin", "2", "--kmax", "2", "--seed", "1",
                             "--replications", "2", "--workers", "5000")
         assert payload["config"]["workers"] == 5000
-        assert seen == [2]
 
     def test_needs_study_or_triple(self, capsys):
         assert main(["simulate", "--n", "200", "--seed", "1"]) == 2
@@ -498,6 +486,24 @@ class TestExitContract:
     def test_pinned_reproducers(self, capsys, argv, code):
         assert main(argv) == code
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--alpha", "0.5", "--k", "1", "--gamma", "1e160"],
+        ["stats", "--alpha", "0.5", "--k", "60", "--gamma", "1e153"],
+        ["quantile", "--alpha", "0.5", "--k", "60", "--gamma", "1e153", "--p", "0.5"],
+        ["sample", "--alpha", "0.5", "--k", "60", "--gamma", "1e153", "--n", "3",
+         "--seed", "1"],
+    ])
+    def test_series_overflow_reason(self, capsys, argv):
+        # log S was nan here: a numpy warning, then a misleading reason
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert caught == []
+        assert err.startswith("numerical failure: log S(")
+        assert err.endswith("overflows a float (log value inf)\n")
+        assert "nan" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("values", [[1e300, 1.5e300, 3e300], [1.0, 1e300]])
     def test_compare_on_huge_values(self, capsys, tmp_path, values):

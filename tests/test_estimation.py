@@ -60,6 +60,11 @@ class TestLogLikelihood:
         assert log_likelihood(GelSParams(1.0, 0, 1.0), data) == -math.inf
         assert log_likelihood(GelSParams(2.5, 0, 1.0), data) == -math.inf
 
+    def test_series_overflow(self):
+        # log S = inf past the float range, so the likelihood is 0
+        data = Dataset(values=np.array([1.0, 2.0, 3.0]))
+        assert log_likelihood(GelSParams(0.5, 60, 1e153), data) == -math.inf
+
 
 class TestScore:
     def test_matches_finite_differences_random_cases(self):

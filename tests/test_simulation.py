@@ -3,13 +3,17 @@
 import concurrent.futures
 import os
 import pickle
-from dataclasses import replace
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gels.distribution import GelSParams
 from gels.simulation import STUDY_PARAMS, StudyConfig, StudyReport, run_study
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestConfig:
@@ -98,32 +102,41 @@ class TestRecoveryAndCoverage:
         assert sum(report.k_counts.values()) == 20
 
 
-class TestPoolCap:
-    def test_capped_at_replications_and_cpus(self, monkeypatch):
-        # a stand-in executor records max_workers and runs serially, so no
-        # thread is started however many are asked for
-        seen = []
+class TestSerialReplications:
+    def test_no_pool_for_any_worker_count(self, monkeypatch):
+        # workers is accepted and ignored, so asking for 5000 builds no pool
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread pool was built")
 
-        class Recorder:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
         config = StudyConfig(true_params=STUDY_PARAMS["I"], n=200, k_grid=(2, 2),
                              seed=3, replications=5)
-        serial = run_study(config, workers=1)
-        assert seen == []
-        assert pickle.dumps(run_study(config, workers=5000)) == pickle.dumps(serial)
-        run_study(replace(config, replications=2), workers=5000)
-        run_study(config, workers=2)
-        assert seen == [3, 2, 2]
+        assert (pickle.dumps(run_study(config, workers=5000))
+                == pickle.dumps(run_study(config, workers=1)))
+
+    def test_no_thread_started(self):
+        # a fresh interpreter, so nothing this test process loaded counts;
+        # scipy.special imports concurrent.futures itself, but not its
+        # thread-pool module
+        code = """
+import sys, threading
+started = []
+_start = threading.Thread.start
+def start(self):
+    started.append(self.name)
+    _start(self)
+threading.Thread.start = start
+from gels.simulation import STUDY_PARAMS, StudyConfig, run_study
+config = StudyConfig(true_params=STUDY_PARAMS['I'], n=200, k_grid=(2, 2), seed=3,
+                     replications=3)
+run_study(config, workers=4)
+assert 'concurrent.futures.thread' not in sys.modules
+assert started == [], started
+assert threading.active_count() == 1, threading.active_count()
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gels
+from gels import distribution
 from gels.special_math import (
+    FloatOverflowError,
     LogSeriesSum,
     log_binomial,
     log_series_sum,
@@ -88,6 +91,20 @@ class TestLogSeriesSum:
         r = log_series_sum(100.0, 3.0, 60)
         assert math.isfinite(r.value)
         assert r.value > 700.0
+
+    @pytest.mark.parametrize("alpha, gamma, m", [(0.5, 1e160, 1), (0.5, 1e153, 60),
+                                                 (0.0, 1e160, 1), (0.0, 1.7e308, 0)])
+    def test_past_the_float_range(self, alpha, gamma, m):
+        # (m+1)^2 gamma^2 / 2 = inf made inf - inf = nan inside the sum
+        with pytest.raises(FloatOverflowError) as info:
+            log_series_sum(alpha, gamma, m)
+        assert info.value.log_value == math.inf
+        assert "nan" not in str(info.value)
+
+    def test_overflow_error_is_reexported(self):
+        assert distribution.FloatOverflowError is FloatOverflowError
+        assert gels.FloatOverflowError is FloatOverflowError
+        assert issubclass(distribution.MomentOverflowError, FloatOverflowError)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
