@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -123,6 +124,8 @@ def load_input(args):
         return datasets.load(args.dataset)
     if not have_path:
         raise CliUsageError("an input file or --dataset is required")
+    if args.column is not None and not args.delimiter:
+        raise CliUsageError("--delimiter must not be empty")
     values = read_values(args.input, column=args.column, delimiter=args.delimiter)
     try:
         return Dataset(values=values, name=Path(args.input).name,
@@ -138,6 +141,15 @@ def make_params(args):
         return GelSParams(alpha=args.alpha, k=args.k, gamma=args.gamma)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
+
+
+def check_fit_input(data, args):
+    """The data and k grid of fit, compare and pdf-curve's fit. n >= 2 is
+    checked first, so data failing both exit 3, as a data error."""
+    if data.n < 2:
+        raise CliDataError(f"need at least 2 observations, got {data.n}")
+    if args.kmin < 0 or args.kmax < args.kmin:
+        raise CliUsageError(f"bad k grid [{args.kmin}, {args.kmax}]")
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +182,12 @@ def _num(v, fmt="{:.6g}"):
     return fmt.format(v)
 
 
-def _csv_text(header, rows):
+def _csv_table(header, rows):
+    """CSV text: the header, then one line per row mapping, cells by header name."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows([_csv_cell(row[h]) for h in header] for row in rows)
     return buf.getvalue()
 
 
@@ -221,30 +233,16 @@ def schema_path(command):
 
 def cmd_stats(args):
     params = make_params(args)
-    s = summary(params)
-    payload = {
-        "command": "stats",
-        "params": {"alpha": params.alpha, "k": params.k, "gamma": params.gamma},
-        "summary": {
-            "mean": s.mean, "variance": s.variance, "skewness": s.skewness,
-            "kurtosis": s.kurtosis, "mode": s.mode, "median": s.median,
-        },
-    }
+    fields = asdict(summary(params))
+    payload = {"command": "stats", "params": asdict(params), "summary": fields}
 
     def text():
         lines = [f"parameters: alpha={params.alpha:g} k={params.k} gamma={params.gamma:g}"]
-        for label in ("mean", "variance", "skewness", "kurtosis", "mode", "median"):
-            lines.append(f"{label:>9}  {_num(getattr(s, label))}")
+        lines += [f"{label:>9}  {_num(v)}" for label, v in fields.items()]
         return "\n".join(lines) + "\n"
 
-    def as_csv():
-        header = ["alpha", "k", "gamma", "mean", "variance", "skewness",
-                  "kurtosis", "mode", "median"]
-        row = [params.alpha, params.k, params.gamma, s.mean, s.variance,
-               s.skewness, s.kurtosis, s.mode, s.median]
-        return _csv_text(header, [[_csv_cell(v) for v in row]])
-
-    return emit(args, payload, text, as_csv)
+    row = payload["params"] | fields
+    return emit(args, payload, text, lambda: _csv_table(list(row), [row]))
 
 
 def _parse_p_list(spec_str):
@@ -263,33 +261,23 @@ def _parse_p_list(spec_str):
 def cmd_quantile(args):
     params = make_params(args)
     ps = _parse_p_list(args.p)
-    pairs = [(p, quantile(params, p)) for p in ps]
-    payload = {
-        "command": "quantile",
-        "params": {"alpha": params.alpha, "k": params.k, "gamma": params.gamma},
-        "quantiles": [{"p": p, "x": x} for p, x in pairs],
-    }
+    rows = [{"p": p, "x": quantile(params, p)} for p in ps]
+    payload = {"command": "quantile", "params": asdict(params), "quantiles": rows}
 
     def text():
         lines = [f"{'p':>8}  quantile"]
-        lines += [f"{p:>8g}  {_num(x)}" for p, x in pairs]
+        lines += [f"{r['p']:>8g}  {_num(r['x'])}" for r in rows]
         return "\n".join(lines) + "\n"
 
-    def as_csv():
-        return _csv_text(["p", "x"],
-                         [[_csv_cell(p), _csv_cell(x)] for p, x in pairs])
-
-    return emit(args, payload, text, as_csv)
+    return emit(args, payload, text, lambda: _csv_table(["p", "x"], rows))
 
 
 def cmd_sample(args):
     params = make_params(args)
-    if args.n < 1:
-        raise CliUsageError("--n must be at least 1")
     values = sample(params, args.n, seed=args.seed)
     payload = {
         "command": "sample",
-        "params": {"alpha": params.alpha, "k": params.k, "gamma": params.gamma},
+        "params": asdict(params),
         "n": args.n,
         "seed": args.seed,
         "values": values,
@@ -312,24 +300,9 @@ def cmd_sample(args):
     return emit(args, payload, text, as_csv)
 
 
-def _fit_payload_rows(trace):
-    rows = []
-    for i, r in enumerate(trace.per_k):
-        rows.append({
-            "k": r.k, "alpha_hat": r.alpha_hat, "gamma_hat": r.gamma_hat,
-            "raw_a_hat": r.raw_a_hat, "loglik": r.loglik, "aic": r.aic,
-            "sic": r.sic, "converged": r.converged,
-            "selected": i == trace.selected_index,
-        })
-    return rows
-
-
 def cmd_fit(args):
     data = load_input(args)
-    if data.n < 2:
-        raise CliDataError(f"need at least 2 observations, got {data.n}")
-    if args.kmin < 0 or args.kmax < args.kmin:
-        raise CliUsageError(f"bad k grid [{args.kmin}, {args.kmax}]")
+    check_fit_input(data, args)
     if not 0.0 < args.level < 1.0:
         raise CliUsageError(f"confidence level {args.level} outside (0, 1)")
     trace = fit(data, k_min=args.kmin, k_max=args.kmax)
@@ -345,7 +318,11 @@ def cmd_fit(args):
         "command": "fit",
         "input": {"name": data.name, "source": data.source, "n": data.n},
         "k_grid": [args.kmin, args.kmax],
-        "per_k": _fit_payload_rows(trace),
+        "per_k": [{"k": r.k, "alpha_hat": r.alpha_hat, "gamma_hat": r.gamma_hat,
+                   "raw_a_hat": r.raw_a_hat, "loglik": r.loglik, "aic": r.aic,
+                   "sic": r.sic, "converged": r.converged,
+                   "selected": i == trace.selected_index}
+                  for i, r in enumerate(trace.per_k)],
         "selected": {
             "k": sel.k, "alpha_hat": sel.alpha_hat, "raw_a_hat": sel.raw_a_hat,
             "gamma_hat": sel.gamma_hat, "se_alpha": sel.se_alpha,
@@ -392,22 +369,13 @@ def cmd_fit(args):
             lines.append("confidence intervals unavailable for this fit")
         return "\n".join(lines) + "\n"
 
-    def as_csv():
-        header = ["k", "alpha_hat", "gamma_hat", "loglik", "aic", "sic",
-                  "converged", "selected"]
-        rows = [[_csv_cell(r[h]) for h in header] for r in _fit_payload_rows(trace)]
-        return _csv_text(header, rows)
-
-    return emit(args, payload, text, as_csv)
+    header = ["k", "alpha_hat", "gamma_hat", "loglik", "aic", "sic", "converged", "selected"]
+    return emit(args, payload, text, lambda: _csv_table(header, payload["per_k"]))
 
 
 def cmd_compare(args):
     data = load_input(args)
-    if data.n < 2:
-        raise CliDataError(f"need at least 2 observations, got {data.n}")
-    if args.kmin < 0 or args.kmax < args.kmin:
-        raise CliUsageError(f"bad k grid [{args.kmin}, {args.kmax}]")
-
+    check_fit_input(data, args)
     trace = fit(data, k_min=args.kmin, k_max=args.kmax)
     sel = trace.selected
     models = [{
@@ -462,34 +430,23 @@ def cmd_compare(args):
         lines += ["", "note: " + COMPARE_NOTE]
         return "\n".join(lines) + "\n"
 
-    def as_csv():
-        header = ["family", "k", "n_p", "loglik", "aic", "sic", "n_p_shifted",
-                  "aic_shifted", "sic_shifted", "best_aic", "best_sic"]
-        rows = []
-        for m in models:
-            rows.append([_csv_cell(m["family"]), _csv_cell(m["k"]),
-                         _csv_cell(m["n_p"]), _csv_cell(m["loglik"]),
-                         _csv_cell(m["aic"]), _csv_cell(m["sic"]),
-                         _csv_cell(m["n_p_shifted"]), _csv_cell(m["aic_shifted"]),
-                         _csv_cell(m["sic_shifted"]),
-                         _csv_cell(m["family"] == best_aic),
-                         _csv_cell(m["family"] == best_sic)])
-        return _csv_text(header, rows)
-
-    return emit(args, payload, text, as_csv)
+    header = ["family", "k", "n_p", "loglik", "aic", "sic", "n_p_shifted",
+              "aic_shifted", "sic_shifted", "best_aic", "best_sic"]
+    rows = [m | {"best_aic": m["family"] == best_aic, "best_sic": m["family"] == best_sic}
+            for m in models]
+    return emit(args, payload, text, lambda: _csv_table(header, rows))
 
 
 def _workers(args):
     if args.workers is not None:
-        value = args.workers
-    else:
-        raw = os.environ.get("GELS_THREADS", "")
-        try:
-            value = int(raw) if raw else 1
-        except ValueError:
-            raise CliUsageError(f"GELS_THREADS={raw!r} is not an integer")
+        return args.workers
+    raw = os.environ.get("GELS_THREADS", "")
+    try:
+        value = int(raw) if raw else 1
+    except ValueError:
+        raise CliUsageError(f"GELS_THREADS={raw!r} is not an integer") from None
     if value < 1:
-        raise CliUsageError("worker count must be at least 1")
+        raise CliUsageError(f"GELS_THREADS must be >= 1, got {value}")
     return value
 
 
@@ -566,12 +523,8 @@ def cmd_simulate(args):
                 f"{k}: {v}" for k, v in report.k_counts.items()))
         return "\n".join(lines) + "\n"
 
-    def as_csv():
-        header = ["k", "alpha_hat", "gamma_hat", "loglik", "selected"]
-        rows = [[_csv_cell(r[h]) for h in header] for r in per_k]
-        return _csv_text(header, rows)
-
-    return emit(args, payload, text, as_csv)
+    header = ["k", "alpha_hat", "gamma_hat", "loglik", "selected"]
+    return emit(args, payload, text, lambda: _csv_table(header, per_k))
 
 
 def cmd_pdf_curve(args):
@@ -585,8 +538,7 @@ def cmd_pdf_curve(args):
     if have_triple:
         params = make_params(args)
     elif data is not None:
-        if data.n < 2:
-            raise CliDataError(f"need at least 2 observations, got {data.n}")
+        check_fit_input(data, args)
         trace = fit(data, k_min=args.kmin, k_max=args.kmax)
         sel = trace.selected
         params = GelSParams(alpha=sel.alpha_hat, k=sel.k, gamma=sel.gamma_hat)
@@ -596,8 +548,6 @@ def cmd_pdf_curve(args):
     if data is not None:
         source = {"name": data.name, "n": data.n}
 
-    if args.points < 2:
-        raise CliUsageError("--points must be at least 2")
     q_hi = quantile(params, 0.999)
     eps = 1e-6 * (q_hi - params.alpha)
     xs = np.linspace(params.alpha + eps, q_hi, args.points)
@@ -605,17 +555,18 @@ def cmd_pdf_curve(args):
 
     histogram = None
     if args.bins is not None:
-        if args.bins < 1:
-            raise CliUsageError("--bins must be at least 1")
         if data is None:
             raise CliUsageError("--bins needs input data to bin")
-        counts, edges = np.histogram(data.values, bins=args.bins)
+        try:
+            counts, edges = np.histogram(data.values, bins=args.bins)
+        except ValueError as exc:  # a range too narrow for that many float-sized bins
+            raise CliDataError(str(exc)) from exc
         histogram = [{"lo": float(edges[i]), "hi": float(edges[i + 1]),
                       "count": int(c)} for i, c in enumerate(counts)]
 
     payload = {
         "command": "pdf-curve",
-        "params": {"alpha": params.alpha, "k": params.k, "gamma": params.gamma},
+        "params": asdict(params),
         "source": source,
         "curve": curve,
         "histogram": histogram,
@@ -633,30 +584,27 @@ def cmd_pdf_curve(args):
                       for h in histogram]
         return "\n".join(lines) + "\n"
 
-    def as_csv():
-        header = ["kind", "x_lo", "x_hi", "value"]
-        rows = [["density", _csv_cell(c["x"]), _csv_cell(c["x"]),
-                 _csv_cell(c["density"])] for c in curve]
-        if histogram is not None:
-            rows += [["histogram", _csv_cell(h["lo"]), _csv_cell(h["hi"]),
-                      _csv_cell(float(h["count"]))] for h in histogram]
-        return _csv_text(header, rows)
-
-    return emit(args, payload, text, as_csv)
+    rows = [{"kind": "density", "x_lo": c["x"], "x_hi": c["x"], "value": c["density"]}
+            for c in curve]
+    rows += [{"kind": "histogram", "x_lo": h["lo"], "x_hi": h["hi"], "value": float(h["count"])}
+             for h in histogram or ()]
+    return emit(args, payload, text, lambda: _csv_table(["kind", "x_lo", "x_hi", "value"], rows))
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _seed(text):
-    """argparse type of --seed: numpy seeds are nonnegative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
+def _int_at_least(low, name):
+    """argparse type of an integer option bounded below (a usage error, exit 2)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _add_format_options(sub):
@@ -680,7 +628,7 @@ def _add_input_options(sub):
                      help="file with one value per line ('#' comments)")
     sub.add_argument("--dataset", choices=datasets.available(), default=None,
                      help="use a bundled dataset instead of a file")
-    sub.add_argument("--column", type=int, default=None, metavar="N",
+    sub.add_argument("--column", type=_int_at_least(1, "column"), default=None, metavar="N",
                      help="take 1-based column N from delimited lines")
     sub.add_argument("--delimiter", default=",",
                      help="field delimiter used with --column (default ',')")
@@ -717,8 +665,8 @@ def build_parser():
 
     p = subs.add_parser("sample", help="draw random variates")
     _add_triple_options(p, required=True)
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--seed", type=_seed, default=None,
+    p.add_argument("--n", type=_int_at_least(1, "n"), required=True, help="sample size")
+    p.add_argument("--seed", type=_int_at_least(0, "seed"), default=None,
                    help="RNG seed (same seed, same values)")
     _add_format_options(p)
     p.set_defaults(func=cmd_sample)
@@ -730,9 +678,9 @@ def build_parser():
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--kmin", type=int, default=0)
     p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--seed", type=_seed, default=1)
+    p.add_argument("--seed", type=_int_at_least(0, "seed"), default=1)
     p.add_argument("--replications", type=int, default=1)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_int_at_least(1, "workers"), default=None,
                    help="at least 1, reported as config.workers; replications run serially "
                         "(default: GELS_THREADS or 1)")
     _add_format_options(p)
@@ -752,9 +700,9 @@ def build_parser():
     _add_triple_options(p, required=False)
     p.add_argument("--kmin", type=int, default=0)
     p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--points", type=int, default=200,
+    p.add_argument("--points", type=_int_at_least(2, "points"), default=200,
                    help="number of curve points (default 200)")
-    p.add_argument("--bins", type=int, default=None,
+    p.add_argument("--bins", type=_int_at_least(1, "bins"), default=None,
                    help="also emit a histogram of the input with this many bins")
     _add_format_options(p)
     p.set_defaults(func=cmd_pdf_curve)

@@ -13,6 +13,7 @@ file for side-by-side reporting; `reference_table` loads it.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -78,7 +79,11 @@ def _fit_log_parameterized(family, names, data, neg_loglik_of, theta0):
 def fit_gamma(data):
     """Gamma MLE, shape/rate."""
     x = data.values
-    m = float(x.mean())
+    top = float(x.max())
+    if top < sys.float_info.max / data.n:
+        m = float(x.mean())
+    else:  # the sum of x may pass the float range; its mean does not
+        m = top * float((x / top).mean())
     v = float((x / m).var())    # scale-free, so no overflow for huge values
     if v == 0.0:
         raise DegenerateDataError("zero variance; gamma fit is degenerate")
@@ -102,8 +107,11 @@ def fit_weibull(data):
     def nll(theta, x):
         shape, scale = theta
         z = x / scale
+        log_z = np.log(z)
+        if shape * float(log_z.max()) > 709.0:  # some z^shape > e^709: l is -inf in floats
+            return math.inf
         return -(data.n * (math.log(shape) - math.log(scale))
-                 + (shape - 1.0) * float(np.log(z).sum()) - float((z ** shape).sum()))
+                 + (shape - 1.0) * float(log_z.sum()) - float((z ** shape).sum()))
 
     c0 = min(max(1.2 / float(t.std()), 0.05), 50.0)
     return _fit_log_parameterized("Weibull", ("shape", "scale"), data, nll,

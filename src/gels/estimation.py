@@ -100,7 +100,8 @@ class _Point:
 
     def __init__(self, data, alpha, gamma, k):
         self.n, self.gamma, self.u = data.n, gamma, data.values - alpha
-        if not self.u.min() > 0.0:
+        self.u_min = float(self.u.min())
+        if not self.u_min > 0.0:
             raise ValueError("score undefined: data off the support")
         self.t = np.log(self.u)
         self.series = log_series_sum(alpha, gamma, k)
@@ -121,12 +122,19 @@ class _Point:
             l_gamma,gamma = n (1/gamma^2 - dS_gamma,gamma) - 3 gamma^-4 sum t^2
 
         where dS are the partials of log S(alpha, gamma, k). At alpha = 0
-        the alpha partials are one-sided.
+        the alpha partials are one-sided. Near the support edge, where
+        n (1 - ln u_min) / u_min^2 passes 1e300, the sums over 1/u and 1/u^2
+        are formed on u_min / u and may come out infinite.
         """
-        u, t, n, g, tt = self.u, self.t, self.n, self.gamma, self.tt
+        u, t, n, g, tt, m = self.u, self.t, self.n, self.gamma, self.tt, self.u_min
         d = self.series.partials()
-        sum_t_u = float((t / u).sum())
-        sum_t1_u2 = float(((t - 1.0) / u) @ (1.0 / u))
+        if n * (1.0 - math.log(m)) < 1e300 * m * m:
+            sum_t_u = float((t / u).sum())
+            sum_t1_u2 = float(((t - 1.0) / u) @ (1.0 / u))
+        else:
+            s = m / u
+            sum_t_u = float(t @ s) / m
+            sum_t1_u2 = float(((t - 1.0) * s) @ s) / m / m
         g2 = g * g
         return ((-n * d.d_alpha + sum_t_u / g2, -n * (1.0 / g + d.d_gamma) + tt / (g2 * g)),
                 (-n * d.d2_alpha + sum_t1_u2 / g2,
@@ -169,18 +177,17 @@ def _check_spread(data):
         raise DegenerateDataError("all observations identical; fit is degenerate")
 
 
-def _default_init(data, k, frac):
-    """Starting point (a0, gamma0) with alpha0 = a0^2 = frac * min(x).
+def _gamma_start(data, k, a0):
+    """gamma0 of the start (a0, gamma0), for alpha0 = a0^2 below min(x).
 
     gamma0 maximizes the likelihood at alpha0 with log S replaced by its
     i = k term, (k+1)^2 gamma^2 / 2 (exact at alpha = 0). Then
     g = gamma^2 solves (k+1)^2 g^2 + g = mean(t^2), t = ln(x - alpha0).
     """
-    a0 = math.sqrt(frac * float(data.values.min()))
     t = np.log(data.values - a0 * a0)
     mean_t2 = float(t @ t) / data.n
     g2 = 2.0 * mean_t2 / (1.0 + math.sqrt(1.0 + 4.0 * (k + 1.0) ** 2 * mean_t2))
-    return a0, max(math.sqrt(g2), 1e-2)
+    return max(math.sqrt(g2), 1e-2)
 
 
 def fit_given_k(data, k, init=None):
@@ -225,21 +232,26 @@ def fit_given_k(data, k, init=None):
 
     found = []
 
-    def solve(a0, g0):
+    def solve(a0, g0=None):
+        # checked before ln(x - a0^2) is taken: for a subnormal min(x),
+        # frac * min(x) can round up to min(x)
         if a0 * a0 < barrier:
+            if g0 is None:
+                g0 = _gamma_start(data, k, a0)
             try:
                 found.append(minimize(neg_loglik, [a0, g0], derivatives=derivatives))
             except ValueError:
                 pass
 
+    # the default starts: alpha0 = a0^2 = frac * min(x)
     if init is None:
         for frac in (0.5, 0.1, 0.9):
-            solve(*_default_init(data, k, frac))
+            solve(math.sqrt(frac * xmin))
     else:
         solve(*init)
-        solve(*_default_init(data, k, 0.1))
+        solve(math.sqrt(0.1 * xmin))
         if not any(res.converged for res in found):
-            solve(*_default_init(data, k, 0.5))
+            solve(math.sqrt(0.5 * xmin))
 
     if not found:
         raise FitError(f"no feasible starting point for k={k}")

@@ -88,11 +88,8 @@ def _descent_direction(H, g):
     1e-8 * max|H_ii| * 2^j, j = 0..38, with the smallest j whose
     factorization succeeds; steepest descent if none does.
 
-    Success is monotone in tau, so j is found by bisection between two
-    bounds on -lambda_min(H): every tau <= -min H_ii fails, even in
-    rounded arithmetic (some pivot is at most H_ii + tau <= 0), and every
-    tau above the Gershgorin bound max_i (sum_(l != i) |H_il| - H_ii)
-    succeeds in exact arithmetic, which the search checks.
+    The scan skips every tau <= -min H_ii: some pivot is then at most
+    H_ii + tau <= 0, even in rounded arithmetic, so that factorization fails.
     """
     p = _loaded_step(H, g, 0.0)
     if p is not None:
@@ -102,32 +99,11 @@ def _descent_direction(H, g):
         return [-v for v in g]  # NaN or inf entries: no loading helps
     t0 = 1e-8 * max(max(abs(H[i][i]) for i in range(d)), 1e-12)
     lower = max(-H[i][i] for i in range(d))
-    upper = max(sum(map(abs, H[i])) - abs(H[i][i]) - H[i][i] for i in range(d))
-    lo = _first_doubling_above(t0, lower) - 1  # fails at every j <= lo
-    for hi in range(min(_first_doubling_above(t0, upper), 38), 39):
-        p_hi = _loaded_step(H, g, math.ldexp(t0, hi))
-        if p_hi is not None:
-            break
-    else:
-        return [-v for v in g]  # steepest descent as last resort
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        p = _loaded_step(H, g, math.ldexp(t0, mid))
-        if p is None:
-            lo = mid
-        else:
-            hi, p_hi = mid, p
-    return p_hi
-
-
-def _first_doubling_above(t0, x):
-    """Smallest j >= 0 with t0 * 2^j > x, for t0 > 0 and finite x."""
-    j = math.frexp(x / t0)[1] if x > t0 else 0  # t0 * 2^(j-1) <= x < t0 * 2^j
-    while math.ldexp(t0, j) <= x:
-        j += 1
-    while j > 0 and math.ldexp(t0, j - 1) > x:
-        j -= 1
-    return j
+    for j in range(39):
+        tau = math.ldexp(t0, j)
+        if tau > lower and (p := _loaded_step(H, g, tau)) is not None:
+            return p
+    return [-v for v in g]  # steepest descent as last resort
 
 
 def _loaded_step(H, g, tau):
@@ -151,8 +127,7 @@ def _loaded_step(H, g, tau):
     return p if sum(map(mul, p, g)) < 0.0 else None
 
 
-def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
-             grad_h_rel=1e-5, hess_h_rel=1e-4, derivatives=None):
+def minimize(objective, x0, gtol=None, max_iter=500, derivatives=None):
     """Minimize a smooth function of a few variables from a feasible start.
 
     `derivatives(x)`, when given, returns the exact (gradient, Hessian) at
@@ -171,11 +146,11 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
         gtol = 1e-8 * max(1.0, abs(fx))
     if derivatives is None:
         def derivatives(x):
-            g = _gradient_with_retry(objective, x, grad_h_rel)
+            g = _gradient_with_retry(objective, x)
             if g is None or math.hypot(*g) <= gtol:
                 return g, None  # no step follows: skip the Hessian
-            try:
-                return g, numerical_hessian(objective, x, hess_h_rel)
+            try:  # float lists, like g: no numpy scalar overflow warnings
+                return g, numerical_hessian(objective, x).tolist()
             except StencilError:
                 return g, None
 
@@ -207,7 +182,7 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
             break
         x, fx = x_new, f_new
         g, H = derivatives(x)
-        if t * math.hypot(*p) <= step_tol * max(1.0, math.hypot(*x.tolist())):
+        if t * math.hypot(*p) <= 1e-12 * max(1.0, math.hypot(*x.tolist())):
             break
 
     gnorm = math.inf if g is None else math.hypot(*g)
@@ -220,10 +195,10 @@ def minimize(objective, x0, gtol=None, step_tol=1e-12, max_iter=500,
     )
 
 
-def _gradient_with_retry(f, x, h_rel):
+def _gradient_with_retry(f, x):
     for attempt in range(3):
         try:
-            return numerical_gradient(f, x, h_rel * 10.0**-attempt)
+            return numerical_gradient(f, x, 1e-5 * 10.0**-attempt).tolist()
         except StencilError:
             continue
     return None

@@ -157,6 +157,43 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # a bad k grid escaped pdf-curve's fit as ValueError: bad k grid
+        ["pdf-curve", "--dataset", "ball_bearings", "--kmin", "3", "--kmax", "1"],
+        ["pdf-curve", "--dataset", "ball_bearings", "--kmin", "-1"],
+        # --column 0 read the last field and --column -1 the one before it
+        ["fit", "DATA", "--column", "0"],
+        ["fit", "DATA", "--column", "-1"],
+        # str.split raised ValueError: empty separator
+        ["fit", "DATA", "--column", "2", "--delimiter", ""],
+        ["compare", "DATA", "--column", "2", "--delimiter", ""],
+    ])
+    def test_option_escapes(self, capsys, tmp_path, argv):
+        path = tmp_path / "data.csv"
+        path.write_text("a,1.5\nb,2.5\nc,3.5\n")
+        assert main([str(path) if a == "DATA" else a for a in argv]) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--alpha", "1", "--k", "1", "--gamma", "1", "--n", "0"],
+        ["simulate", "--study", "I", "--workers", "0"],
+        ["pdf-curve", "--alpha", "1", "--k", "1", "--gamma", "1", "--points", "1"],
+        ["pdf-curve", "--dataset", "leukaemia", "--bins", "0"],
+        ["fit", "--dataset", "leukaemia", "--column", "x"],
+    ])
+    def test_integer_bounds_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 2
+        assert "error: argument --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "compare", "pdf-curve"])
+    def test_one_observation_and_bad_grid_is_a_data_error(self, capsys, tmp_path,
+                                                          command):
+        # n >= 2 is checked before the k grid
+        path = tmp_path / "one.txt"
+        path.write_text("5.0\n")
+        assert main([command, str(path), "--kmin", "3", "--kmax", "1"]) == 3
+        capsys.readouterr()
+
     def test_conflicting_inputs(self, capsys, tmp_path):
         f = tmp_path / "x.txt"
         f.write_text("1\n2\n")
@@ -505,6 +542,17 @@ class TestExitContract:
         assert err.endswith("overflows a float (log value inf)\n")
         assert "nan" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_observation_next_to_the_support_edge(self, capsys, tmp_path, command):
+        # sum (t - 1)/u^2 overflowed in a numpy matmul at u = 1e-200: a
+        # RuntimeWarning on stderr, then exit 0
+        path = tmp_path / "tiny.txt"
+        path.write_text("1e-200\n1\n2\n3\n5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, str(path), "--kmax", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("values", [[1e300, 1.5e300, 3e300], [1.0, 1e300]])
     def test_compare_on_huge_values(self, capsys, tmp_path, values):
         # var(x) overflowed to inf and the gamma start reached math.log(0)
@@ -535,4 +583,50 @@ class TestExitContract:
         elif command == "sample":
             argv += ["--n", str(n), "--seed", "3"]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3, 4)
+
+
+@st.composite
+def data_command(draw, tmp_path):
+    """argv of fit, compare, pdf-curve or a small simulate, with its data
+    written under tmp_path: 2-60 values at scales from 1e-300 to 1e300, with
+    relative spreads from near-ties (1e-15) to e^+-700."""
+    command = draw(st.sampled_from(["fit", "compare", "pdf-curve", "simulate"]))
+    center = draw(st.floats(-690.0, 690.0))
+    spread = draw(st.sampled_from([1e-15, 1e-6, 0.5, 3.0, 700.0]))
+    logs = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=60))
+    values = [math.exp(min(709.0, max(-744.0, center + spread * v))) for v in logs]
+    kmin = draw(st.integers(-1, 2))
+    kmax = kmin + draw(st.integers(-1, 2))
+    fmt = draw(st.sampled_from(["text", "json", "csv"]))
+    if command == "simulate":
+        return ["simulate", "--alpha", repr(values[0]), "--k", str(draw(st.integers(0, 2))),
+                "--gamma", repr(draw(st.sampled_from([1e-3, 0.3, 1.0, 4.0]))),
+                "--n", str(draw(st.integers(2, 200))), "--kmin", str(kmin),
+                "--kmax", str(kmax), "--replications", str(draw(st.integers(1, 3))),
+                "--seed", "2", "--format", fmt]
+    column = draw(st.one_of(st.none(), st.sampled_from([-1, 0, 1, 2, 3])))
+    path = tmp_path / "data.csv"
+    if column is None:
+        path.write_text("".join(f"{v!r}\n" for v in values))
+        argv = [command, str(path)]
+    else:
+        path.write_text("".join(f"r{i},{v!r}\n" for i, v in enumerate(values)))
+        argv = [command, str(path), "--column", str(column)]
+    if command == "pdf-curve":
+        argv += ["--points", "5", "--bins", "3"]
+    return argv + ["--kmin", str(kmin), "--kmax", str(kmax), "--format", fmt]
+
+
+class TestDataCommandContract:
+    """The data commands end with exit 0, 2, 3 or 4 and emit no numpy
+    warning, whatever the data, k grid or column they are given."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes_without_warnings(self, tmp_path_factory, data):
+        argv = data.draw(data_command(tmp_path_factory.mktemp("data")))
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) in (0, 2, 3, 4)

@@ -8,7 +8,7 @@ import scipy.stats
 
 from gels import datasets
 from gels.distribution import GelSParams, sample
-from gels.estimation import Dataset, DegenerateDataError, information_criteria
+from gels.estimation import Dataset, DegenerateDataError, FitError, information_criteria
 from gels.competitors import (
     CompetitorFit,
     fit_all,
@@ -129,6 +129,23 @@ class TestFitAll:
             aic, sic = information_criteria(2, f.loglik, bearings.n)
             assert f.aic == pytest.approx(aic, abs=1e-12)
             assert f.sic == pytest.approx(sic, abs=1e-12)
+
+
+class TestExtremeData:
+    """Data at the edges of the float range end in a fit or a FitError,
+    never in a numpy warning (which the test filter turns into an error)."""
+
+    def test_gamma_when_the_sum_leaves_the_float_range(self):
+        # sum x overflowed inside x.mean(); the moment start's rate,
+        # about e^-706, lies outside the |log theta| <= 50 box anyway
+        data = Dataset(values=[8.2e307, 8.2e307, 8.2e307, 8103.08])
+        with pytest.raises(FitError, match="Gamma fit"):
+            fit_gamma(data)
+
+    def test_weibull_on_near_ties(self):
+        # a line-search trial at a large shape made z^shape overflow
+        data = Dataset(values=[1.0] + [0.9974606856163131] * 3)
+        assert math.isfinite(fit_weibull(data).loglik)
 
 
 class TestReferenceRows:

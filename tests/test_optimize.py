@@ -105,9 +105,10 @@ class TestStepSolve:
 
     @given(st.integers(1, 4), st.integers(0, 10 ** 6), st.floats(-12.0, 6.0))
     @settings(max_examples=100, deadline=None)
-    def test_bisection_finds_the_doubling_loading(self, dim, seed, log_shift):
-        # reference: try tau = 0, then 1e-8 * max|H_ii| * 2^j for j = 0..38
-        # in turn; the bisection must return the same step, bit for bit
+    def test_scan_finds_the_doubling_loading(self, dim, seed, log_shift):
+        # reference: try tau = 0, then 1e-8 * max|H_ii| * 2^j for every
+        # j = 0..38 in turn; the scan, which skips the loadings that cannot
+        # succeed, must return the same step, bit for bit
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(dim, dim))
         H = (A + A.T - 10.0 ** log_shift * np.eye(dim)).tolist()
