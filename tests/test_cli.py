@@ -497,6 +497,14 @@ class TestPdfCurve:
         kinds = {l.split(",")[0] for l in lines[1:]}
         assert kinds == {"density", "histogram"}
 
+    def test_range_too_narrow_for_the_bins(self, capsys, tmp_path):
+        # np.histogram raised ValueError: too many bins for the data range
+        path = tmp_path / "ties.txt"
+        path.write_text("1.0\n1.0000000000000002\n")
+        assert main(["pdf-curve", str(path), "--alpha", "0.5", "--k", "1", "--gamma", "0.5",
+                     "--bins", "3"]) == 3
+        assert "bins" in capsys.readouterr().err
+
     def test_bins_without_data_rejected(self, capsys):
         assert main(["pdf-curve", "--alpha", "0.5", "--k", "1", "--gamma",
                      "0.5", "--bins", "5"]) == 2
