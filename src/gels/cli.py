@@ -28,6 +28,10 @@ from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
+# numpy's and scipy's OpenBLAS each start spinning worker threads as they load,
+# and no call here is large enough to use them; a value the user set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import datasets

@@ -27,7 +27,8 @@ _XTOL = 1e-13          # root tolerance, relative to max(1, |y|)
 _MAX_ITER = 200        # Newton or bisection steps per root
 _MAX_DOUBLINGS = 60    # bracket growth before giving up
 _GAMMA_MIN = math.sqrt(sys.float_info.min)  # smallest gamma whose square is a normal float
-_BLOCK = 8192          # draws per block of the vectorized inverse
+_BLOCK = 8192          # most draws per block of the vectorized inverse
+_BLOCK_ELEMENTS = 2**20  # K x block entries per buffer of the vectorized inverse
 
 
 class MomentOverflowError(FloatOverflowError):
@@ -327,8 +328,9 @@ def _invert(mus, w, g, u):
     `solve_bracketed` run over an active set: each element takes the same
     Newton or bisection steps from the same moment-matched start, stops by
     the same rule, and for u > 0.5 solves for -y at level 1 - u, as
-    `_quantile_log_scale` does. Draws run in blocks of `_BLOCK`, reusing two
-    K x block buffers, and an element leaves the active set once it stops.
+    `_quantile_log_scale` does. Draws run in blocks of at most `_BLOCK`, and
+    of at most `_BLOCK_ELEMENTS` // K, reusing two K x block buffers, and an
+    element leaves the active set once it stops.
     """
     from scipy.special import ndtri
 
@@ -336,11 +338,12 @@ def _invert(mus, w, g, u):
     scale = math.exp(-0.5 * LOG_2PI) / g
     mean = float(w @ mus)
     spread = math.sqrt(g * g + float(w @ (mus - mean) ** 2))
+    block = max(1, min(_BLOCK, _BLOCK_ELEMENTS // k))
     out = np.empty(u.size)
-    t_buf = np.empty(k * min(u.size, _BLOCK))
+    t_buf = np.empty(k * min(u.size, block))
     e_buf = np.empty_like(t_buf)
-    for start in range(0, u.size, _BLOCK):
-        ub = u[start:start + _BLOCK]
+    for start in range(0, u.size, block):
+        ub = u[start:start + block]
         # per element: sign s = -1 solves for -y at p = 1 - u
         sign = np.where(ub > 0.5, -1.0, 1.0)
         p = np.where(ub > 0.5, 1.0 - ub, ub)
@@ -393,9 +396,9 @@ def sample(params, n, seed):
     seeded with `seed`, so output is fully deterministic. Each draw is
     quantile(u), to about 1e-15 relative: a blocked active-set inverse takes
     the scalar solver's safeguarded Newton steps on ln(x - alpha) for many
-    draws at once, so its memory is bounded by the block of 8192 draws, not
-    by n. A draw past the float range raises FloatOverflowError carrying the
-    largest ln(x - alpha).
+    draws at once, in blocks of at most 8192 draws and 2^20 mixture terms,
+    so its buffers are bounded whatever n and k. A draw past the float range
+    raises FloatOverflowError carrying the largest ln(x - alpha).
     """
     if n != int(n) or n < 0:
         raise ValueError(f"sample size must be a nonnegative integer, got {n}")

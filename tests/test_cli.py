@@ -230,6 +230,27 @@ for argv in (['fit', '--dataset', 'leukaemia', '--kmax', '2'],
         assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced")
+class TestAddressSpaceLimit:
+    def test_sample_at_large_k(self):
+        import resource
+
+        # K x 8192-draw buffers asked for 2 x 458 MiB here and ended in
+        # _ArrayMemoryError; blocks of 2^20 // K draws need 2 x 8 MiB
+        def limit_child():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+        argv = ["sample", "--alpha", "0.5", "--gamma", "1e-4", "--k", "20000",
+                "--n", "3000", "--seed", "1", "--format", "json"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "gels.cli", *argv], env=env,
+                              preexec_fn=limit_child, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["values"]) == 3000
+
+
 class TestInputParsing:
     def test_comments_and_blanks(self, capsys, tmp_path):
         f = tmp_path / "data.txt"

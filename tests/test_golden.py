@@ -5,6 +5,15 @@ so a refactor of the CLI or of the numerics under it must leave each cell
 below byte-identical. The fits pin every per-k log-likelihood bit for bit
 through the repr of each float in the JSON and CSV output.
 
+Determinism contract: the cells hold for the same numpy and OpenBLAS build
+on the same CPU class. They were computed with numpy 2.4.6 and its bundled
+scipy-openblas64 0.3.31 (DYNAMIC_ARCH), which picks its SkylakeX kernel on
+the AVX-512 Xeon they were computed on. BLAS dot products and matrix-vector
+products sum in a kernel-dependent order, so another kernel moves last bits:
+with OPENBLAS_CORETYPE=Haswell, 15 of the 36 cells fail with no program
+change. numpy's own AVX-512 loops (exp among them) round differently from
+its other paths as well.
+
 To re-pin after an intended change, print the new digests with
 
     PYTHONPATH=src python tests/test_golden.py
