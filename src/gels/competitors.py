@@ -21,8 +21,7 @@ import numpy as np
 
 from .estimation import DegenerateDataError, FitError, information_criteria
 from .optimize import minimize
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .special_math import LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -59,17 +58,19 @@ def fit_lognormal2(data):
 
 
 def _fit_log_parameterized(family, names, data, neg_loglik_of, theta0):
-    """Shared driver: minimize -l over log-parameters from a moment start."""
+    """Shared driver: minimize -l over v = log theta, |v - log theta0| <= 50."""
     x = data.values
+    v0 = np.log(theta0)
 
     def objective(v):
-        if not np.abs(v).max() <= 50.0:     # also rejects a NaN start
+        # exp(v) stays a normal float; also rejects a NaN or infinite start
+        if not (np.abs(v).max() <= 708.0 and np.abs(v - v0).max() <= 50.0):
             return math.inf
         return neg_loglik_of(np.exp(v), x)
 
     try:
-        res = minimize(objective, np.log(theta0))
-    except ValueError as exc:  # the start lies outside the box |log theta| <= 50
+        res = minimize(objective, v0)
+    except ValueError as exc:  # the objective is not finite at the start
         raise FitError(f"{family} fit: {exc}") from exc
     params = np.exp(res.x_min)
     return _package(family, names, params, -res.f_min, data.n,
@@ -81,9 +82,9 @@ def fit_gamma(data):
     x = data.values
     top = float(x.max())
     if top < sys.float_info.max / data.n:
-        m = float(x.mean())
-    else:  # the sum of x may pass the float range; its mean does not
-        m = top * float((x / top).mean())
+        m, total = float(x.mean()), float(x.sum())
+    else:  # the sum of x may pass the float range (total = inf); its mean does not
+        m, total = top * float((x / top).mean()), top * float((x / top).sum())
     v = float((x / m).var())    # scale-free, so no overflow for huge values
     if v == 0.0:
         raise DegenerateDataError("zero variance; gamma fit is degenerate")
@@ -91,7 +92,7 @@ def fit_gamma(data):
     def nll(theta, x):
         shape, rate = theta
         return -(data.n * (shape * math.log(rate) - math.lgamma(shape))
-                 + (shape - 1.0) * float(np.log(x).sum()) - rate * float(x.sum()))
+                 + (shape - 1.0) * float(np.log(x).sum()) - rate * total)
 
     return _fit_log_parameterized("Gamma", ("shape", "rate"), data, nll,
                                   [1.0 / v, 1.0 / (v * m)])
@@ -107,6 +108,8 @@ def fit_weibull(data):
     def nll(theta, x):
         shape, scale = theta
         z = x / scale
+        if not z.min() > 0.0:   # some z underflowed to 0, where ln z is -inf
+            return math.inf
         log_z = np.log(z)
         if shape * float(log_z.max()) > 709.0:  # some z^shape > e^709: l is -inf in floats
             return math.inf
@@ -121,7 +124,7 @@ def fit_weibull(data):
 def fit_gen_exponential(data):
     """Generalized exponential MLE; cdf (1 - e^(-rate x))^shape."""
     x = data.values
-    if float(x.std()) == 0.0:
+    if float((x / x.max()).std()) == 0.0:   # scale-free: x.std() under- or overflows
         raise DegenerateDataError("zero spread; GE fit is degenerate")
 
     def nll(theta, x):

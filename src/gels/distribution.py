@@ -94,8 +94,7 @@ def log_norm_const(params):
     C^-1 = gamma * sqrt(2 pi) * S(alpha, gamma, k), evaluated in log space
     so that large k (the bundled bearing fit needs k = 27) cannot overflow.
     """
-    s = log_series_sum(params.alpha, params.gamma, params.k)
-    return -(math.log(params.gamma) + 0.5 * LOG_2PI + s.value)
+    return log_series_sum(params.alpha, params.gamma, params.k).log_c
 
 
 def log_pdf(params, x):
@@ -115,44 +114,42 @@ def pdf(params, x):
 
 @lru_cache(maxsize=512)
 def _mixture(params):
-    """Log-normal mixture view of the cdf.
+    """Log-normal mixture view of the cdf, over its live components.
 
-    Returns (mus, weights): component log-scale means mu_i = (i+1) gamma^2
-    and the series weights w_i = C(k,i) alpha^(k-i) e^((i+1)^2 g^2/2) / S.
-    At alpha = 0 only the i = k component is kept. Arrays are frozen
-    since lru_cache hands back shared objects.
+    Returns (mus, weights): log-scale means mu_i = (i+1) gamma^2 and series
+    weights w_i = C(k,i) alpha^(k-i) e^((i+1)^2 g^2/2) / S for each i with
+    w_i != 0.0 (at alpha = 0, i = k only): a dead row only costs time, and
+    would meet an infinite mu_i as 0 * inf. Frozen: lru_cache shares them.
     """
     w = log_series_sum(params.alpha, params.gamma, params.k).weights
+    live = w.nonzero()[0]
     g2 = params.gamma**2 if params.gamma < 1e154 else math.inf  # float ** raises past the range
-    mus = np.arange(1.0, params.k + 2.0) * g2
-    if params.alpha == 0.0:
-        mus, w = mus[-1:], w[-1:]
-    mus.flags.writeable = False
+    mus, w = (live + 1.0) * g2, w[live]
+    mus.flags.writeable = w.flags.writeable = False
     return mus, w
+
+
+def _tail(params, x, side):
+    """sum_i w_i * Phi(side (ln(x-alpha) - mu_i)/gamma): cdf at side 1, sf at -1."""
+    if not x > params.alpha:
+        return 0.0 if side > 0.0 else 1.0
+    y = math.log(x - params.alpha)
+    mus, w = _mixture(params)
+    scale = side * params.gamma     # a / -g is -(a / g) to the bit
+    acc = 0.0
+    for mu, wi in zip(mus.tolist(), w.tolist()):
+        acc += wi * std_normal_cdf((y - mu) / scale)
+    return min(1.0, max(0.0, acc))
 
 
 def cdf(params, x):
     """Distribution function: sum_i w_i * Phi((ln(x-alpha) - mu_i)/gamma)."""
-    if not x > params.alpha:
-        return 0.0
-    y = math.log(x - params.alpha)
-    mus, w = _mixture(params)
-    acc = 0.0
-    for mu, wi in zip(mus, w):
-        acc += wi * std_normal_cdf((y - mu) / params.gamma)
-    return min(1.0, max(0.0, acc))
+    return _tail(params, x, 1.0)
 
 
 def sf(params, x):
     """Survival function, computed from the complement side for tail accuracy."""
-    if not x > params.alpha:
-        return 1.0
-    y = math.log(x - params.alpha)
-    mus, w = _mixture(params)
-    acc = 0.0
-    for mu, wi in zip(mus, w):
-        acc += wi * std_normal_cdf(-(y - mu) / params.gamma)
-    return min(1.0, max(0.0, acc))
+    return _tail(params, x, -1.0)
 
 
 def moment(params, n):
@@ -446,8 +443,6 @@ def summary(params):
     the float range raises MomentOverflowError carrying its log value.
     """
     mus, w = _mixture(params)
-    keep = w > 0.0      # an underflowed weight would meet an infinite m_i as 0 * inf
-    mus, w = mus[keep], w[keep]
     g2 = params.gamma * params.gamma
     e = math.expm1(g2) if g2 < _LOG_FLOAT_MAX else math.inf
     log_e = g2 + math.log(-math.expm1(-g2))

@@ -20,7 +20,7 @@ import numpy as np
 # log_norm_const, log_series_sum_partials: unused here, but perfbench/tracer.py wraps them here
 from .distribution import GelSParams, log_norm_const  # noqa: F401
 from .optimize import minimize
-from .special_math import (LOG_2PI, FloatOverflowError, log_series_sum,  # noqa: F401
+from .special_math import (FloatOverflowError, log_series_sum,  # noqa: F401
                            log_series_sum_partials, std_normal_quantile)
 
 
@@ -106,9 +106,8 @@ class _Point:
         self.t = np.log(self.u)
         self.series = log_series_sum(alpha, gamma, k)
         self.tt = float(self.t @ self.t)
-        # n log C - sum t^2 / (2 gamma^2) + k sum ln x, log C as in log_norm_const
-        self.value = (self.n * -(math.log(gamma) + 0.5 * LOG_2PI + self.series.value)
-                      - self.tt / (2.0 * gamma**2))
+        # n log C - sum t^2 / (2 gamma^2) + k sum ln x
+        self.value = self.n * self.series.log_c - self.tt / (2.0 * gamma**2)
         if k > 0:
             self.value += k * data.log_sum
 
@@ -127,7 +126,7 @@ class _Point:
         are formed on u_min / u and may come out infinite.
         """
         u, t, n, g, tt, m = self.u, self.t, self.n, self.gamma, self.tt, self.u_min
-        d = self.series.partials()
+        d = self.series.partials
         if n * (1.0 - math.log(m)) < 1e300 * m * m:
             sum_t_u = float((t / u).sum())
             sum_t1_u2 = float(((t - 1.0) / u) @ (1.0 / u))

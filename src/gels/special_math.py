@@ -9,7 +9,7 @@ likelihood derivatives) funnels through the binomial-exponential series
 which overflows in raw form for even moderate m * gamma^2, so it is only
 ever evaluated in log space here. log S is a log-sum-exp of log T_i, so
 every partial of log S is a moment under the mixture weights w_i = T_i / S;
-`log_series_sum` computes log S, the weights and those moments in one pass.
+`log_series_sum` computes log S, the weights and those partials in one pass.
 """
 
 import math
@@ -77,8 +77,18 @@ def _layout(m):
     return layout
 
 
+class SeriesPartials(NamedTuple):
+    """First and second partials of log S(alpha, gamma, m)."""
+
+    d_alpha: float
+    d_gamma: float
+    d2_alpha: float
+    d2_gamma: float
+    d2_alpha_gamma: float
+
+
 class LogSeriesSum(NamedTuple):
-    """log S(alpha, gamma, m), the weights w_i = T_i / S and their moments.
+    """log S(alpha, gamma, m), the weights w_i = T_i / S and the partials of log S.
 
     With p = m - i and q = (i+1)^2, the partials of log S are moments
     under w (the Hessian of a log-sum-exp is E_w[Hessian of log T] plus
@@ -92,7 +102,7 @@ class LogSeriesSum(NamedTuple):
         d2/d alpha d gamma log S = -(gamma / alpha) Cov_w[i, q]
                                  = gamma Cov_w[p, q] / alpha
 
-    The alpha moments are kept divided by their power of alpha. Since
+    The alpha moments are formed divided by their power of alpha. Since
     p T_(i-1) / alpha = i T_i exp(-(2i+1) gamma^2 / 2), they are sums over
     the weights with no division by alpha, stay finite as alpha -> 0, and
     equal the one-sided limits at alpha = 0.
@@ -103,27 +113,12 @@ class LogSeriesSum(NamedTuple):
     gamma: float
     m: int
     weights: np.ndarray      # w_i, i = 0..m, read-only
-    mean_q: float            # E_w[q]
-    var_q: float             # Var_w[q]
-    mean_p_alpha: float      # E_w[p] / alpha
-    fall_p_alpha2: float     # E_w[p (p-1)] / alpha^2
-    cov_pq_alpha: float      # Cov_w[p, q] / alpha
+    partials: SeriesPartials
 
-    def partials(self):
-        """First and second partials of log S, from the moments."""
-        g, mp = self.gamma, self.mean_p_alpha
-        return SeriesPartials(mp, g * self.mean_q, self.fall_p_alpha2 - mp ** 2,
-                              self.mean_q + g * g * self.var_q, g * self.cov_pq_alpha)
-
-
-class SeriesPartials(NamedTuple):
-    """First and second partials of log S(alpha, gamma, m)."""
-
-    d_alpha: float
-    d_gamma: float
-    d2_alpha: float
-    d2_gamma: float
-    d2_alpha_gamma: float
+    @property
+    def log_c(self):
+        """log C, the GEL-S normalizing constant at k = m: C^-1 = gamma sqrt(2 pi) S."""
+        return -(math.log(self.gamma) + 0.5 * LOG_2PI + self.value)
 
 
 def _check_series_args(alpha, gamma, m):
@@ -136,7 +131,7 @@ def _check_series_args(alpha, gamma, m):
 
 
 def log_series_sum(alpha, gamma, m):
-    """log S(alpha, gamma, m) with its weights and their moments.
+    """log S(alpha, gamma, m) with its weights and the partials of log S.
 
     The log terms come from the cached layout of order m and are summed
     with a max-shifted exp-sum. At alpha = 0 only the i = m term survives
@@ -170,15 +165,14 @@ def log_series_sum(alpha, gamma, m):
     w = scaled[0] / s
     w.flags.writeable = False
     mean_q = sq / s
-    mean_p = s1 / s
-    return LogSeriesSum(top + math.log(s), alpha, gamma, m, w, mean_q,
-                        sq2 / s - mean_q * mean_q, mean_p, s2 / s, s3 / s - mean_q * mean_p)
+    mean_p = s1 / s         # E_w[p] / alpha
+    partials = SeriesPartials(mean_p, gamma * mean_q, s2 / s - mean_p ** 2,
+                              mean_q + gamma * gamma * (sq2 / s - mean_q * mean_q),
+                              gamma * (s3 / s - mean_q * mean_p))
+    return LogSeriesSum(top + math.log(s), alpha, gamma, m, w, partials)
 
 
 def log_series_sum_partials(alpha, gamma, m):
-    """First and second partials of log S(alpha, gamma, m).
-
-    At alpha = 0 the alpha partials are the one-sided (right) limits, for
-    example d/d alpha log S = m * exp(-(2m+1) gamma^2 / 2).
-    """
-    return log_series_sum(alpha, gamma, m).partials()
+    """First and second partials of log S(alpha, gamma, m); at alpha = 0 the
+    alpha partials are the one-sided limits, e.g. d/d alpha log S = m e^(-(2m+1) gamma^2 / 2)."""
+    return log_series_sum(alpha, gamma, m).partials

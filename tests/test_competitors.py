@@ -1,12 +1,14 @@
 """Classical two-parameter families and the bundled comparison rows."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from gels import datasets
+from gels.cli import main
 from gels.distribution import GelSParams, sample
 from gels.estimation import Dataset, DegenerateDataError, FitError, information_criteria
 from gels.competitors import (
@@ -136,8 +138,8 @@ class TestExtremeData:
     never in a numpy warning (which the test filter turns into an error)."""
 
     def test_gamma_when_the_sum_leaves_the_float_range(self):
-        # sum x overflowed inside x.mean(); the moment start's rate,
-        # about e^-706, lies outside the |log theta| <= 50 box anyway
+        # sum x overflowed inside x.mean(); the likelihood's rate * sum x
+        # term is still infinite at the moment start
         data = Dataset(values=[8.2e307, 8.2e307, 8.2e307, 8103.08])
         with pytest.raises(FitError, match="Gamma fit"):
             fit_gamma(data)
@@ -146,6 +148,35 @@ class TestExtremeData:
         # a line-search trial at a large shape made z^shape overflow
         data = Dataset(values=[1.0] + [0.9974606856163131] * 3)
         assert math.isfinite(fit_weibull(data).loglik)
+
+
+DATASETS = ["ball_bearings", "leukaemia", "strength_10mm"]
+
+
+class TestScaleEquivariance:
+    """The four competitors are scale families, so the fit to c x has
+    log-likelihood l(x) - n ln c: the search box sits on the moment start,
+    not on unit scale."""
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_loglik_shifts_by_n_ln_c(self, name):
+        data = datasets.load(name)
+        base = fit_all(data)
+        for c in (1e-30, 1e-6, 1e6, 1e20, 1e30):
+            for got, ref in zip(fit_all(Dataset(values=data.values * c)), base):
+                assert got.converged, (got.family, c)
+                assert got.loglik + data.n * math.log(c) == pytest.approx(ref.loglik, rel=1e-10)
+
+    @pytest.mark.parametrize("name", DATASETS)
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_compare_at_the_ends_of_the_float_range(self, capsys, tmp_path, name, c):
+        # the GE zero-spread test took x.std(), which under- or overflows here
+        path = tmp_path / "scaled.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in datasets.load(name).values * c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestReferenceRows:

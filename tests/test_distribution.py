@@ -167,6 +167,23 @@ class TestCdfSf:
         assert vals[-1] > 0.999
 
 
+class TestLiveMixture:
+    """The mixture view keeps exactly the components whose weight is not 0.0."""
+
+    def test_dead_rows_dropped(self):
+        p = GelSParams(0.01, 200, 0.01)  # 177 of the 201 weights are nonzero
+        w = distribution.log_series_sum(p.alpha, p.gamma, p.k).weights
+        mus, live = distribution._mixture(p)
+        assert mus.size == live.size == np.count_nonzero(w) == 177
+        np.testing.assert_array_equal(live, w[w != 0.0])
+        np.testing.assert_array_equal(mus, (np.flatnonzero(w) + 1.0) * p.gamma ** 2)
+        assert not (mus.flags.writeable or live.flags.writeable)
+
+    def test_one_component_at_alpha_zero(self):
+        mus, w = distribution._mixture(GelSParams(0.0, 5, 0.6))
+        assert mus.tolist() == [6 * 0.6 ** 2] and w.tolist() == [1.0]
+
+
 class TestMoment:
     def test_order_zero_is_one(self):
         for params in TRIPLES:
@@ -611,10 +628,11 @@ class TestSample:
 
 
 # (0.5, 1, 0.6) and (1, 2, 1) are small-k triples, (7.7954, 27, 0.4063) the
-# ball_bearings fit, (43.444, 60, 0.05) 61 components far from alpha = 0, and
-# (0, 3, 0.6) the one-component log-normal boundary
+# ball_bearings fit, (43.444, 60, 0.05) 61 components far from alpha = 0,
+# (0, 3, 0.6) the one-component log-normal boundary, and (0.01, 200, 0.01)
+# 177 live components out of 201
 SAMPLER_TRIPLES = [(0.5, 1, 0.6), (7.7954, 27, 0.4063), (1.0, 2, 1.0),
-                   (43.444, 60, 0.05), (0.0, 3, 0.6)]
+                   (43.444, 60, 0.05), (0.0, 3, 0.6), (0.01, 200, 0.01)]
 
 
 def uniforms(n, seed):

@@ -65,3 +65,14 @@ def test_root_solves_traced():
     got = calls(lambda: distribution.mode(params))
     assert got["rootfind.solve_bracketed"] == 1
     assert got["distribution.objective"] > 0
+
+
+def test_mixture_cache_hooks():
+    # perfbench/run.py clears the mixture cache before each traced cycle
+    # and reads its hits and misses after it
+    distribution._mixture.cache_clear()
+    params = GelSParams(0.5, 1, 0.5)
+    distribution._mixture(params)
+    distribution._mixture(params)
+    info = distribution._mixture.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
