@@ -47,7 +47,6 @@ from .estimation import (
     fit,
     information_criteria,
 )
-from .optimize import StencilError
 from .simulation import STUDY_PARAMS, StudyConfig, run_study
 
 EXIT_OK = 0
@@ -728,8 +727,7 @@ def main(argv=None):
     except (CliDataError, DegenerateDataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FitError, ConvergenceError, BracketError, FloatOverflowError,
-            StencilError) as exc:
+    except (FitError, ConvergenceError, BracketError, FloatOverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -1,12 +1,12 @@
 """Small dense unconstrained minimizer.
 
-Newton iteration with backtracking line search, on exact derivatives when
-the caller has them (the GEL-S fits) and on finite-difference stencils
-otherwise (the competitor fits). Objectives may return +inf to mark
+Newton iteration with backtracking line search on the caller's exact
+gradient and Hessian (the GEL-S fits). Objectives may return +inf to mark
 infeasible points: such steps are simply rejected by the line search, so
 the accepted iterates always carry finite, strictly decreasing function
 values. This is all the likelihood fits need (2 parameters, smooth
-interior, hard barrier at the support boundary).
+interior, hard barrier at the support boundary). The finite-difference
+stencils check those derivatives in the tests.
 """
 
 import math
@@ -37,48 +37,27 @@ def numerical_gradient(f, x, h_rel=1e-5):
     """Central-difference gradient with per-coordinate step h_rel*max(1,|x_j|)."""
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
-    for j in range(x.size):
-        h = h_rel * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp, fm = f(xp), f(xm)
+    for j, hj in enumerate(np.diag([h_rel * max(1.0, abs(v)) for v in x.tolist()])):
+        fp, fm = f(x + hj), f(x - hj)
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise StencilError("non-finite objective in gradient stencil",
-                               xp if not math.isfinite(fp) else xm)
-        g[j] = (fp - fm) / (2.0 * h)
+                               x + hj if not math.isfinite(fp) else x - hj)
+        g[j] = (fp - fm) / (2.0 * hj[j])
     return g
 
 
 def numerical_hessian(f, x, h_rel=1e-4):
     """Symmetrized central-difference Hessian, step h_rel*max(1,|x_j|)."""
     x = np.asarray(x, dtype=float)
-    d = x.size
-    h = np.array([h_rel * max(1.0, abs(x[j])) for j in range(d)])
+    steps = np.diag([h_rel * max(1.0, abs(v)) for v in x.tolist()])  # row j: h_j e_j
     f0 = f(x)
-    if not math.isfinite(f0):
-        raise StencilError("non-finite objective at expansion point", x)
-    H = np.empty((d, d))
-    for j in range(d):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h[j]
-        xm[j] -= h[j]
-        fp, fm = f(xp), f(xm)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise StencilError("non-finite objective in Hessian stencil",
-                               xp if not math.isfinite(fp) else xm)
-        H[j, j] = (fp - 2.0 * f0 + fm) / h[j] ** 2
-        for l in range(j + 1, d):
-            vals = []
-            for sj, sl in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                xx = x.copy()
-                xx[j] += sj * h[j]
-                xx[l] += sl * h[l]
-                v = f(xx)
-                if not math.isfinite(v):
-                    raise StencilError("non-finite objective in Hessian stencil", xx)
-                vals.append(v)
-            H[j, l] = H[l, j] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4.0 * h[j] * h[l])
+    H = np.empty((x.size, x.size))
+    for j, hj in enumerate(steps):
+        H[j, j] = (f(x + hj) - 2.0 * f0 + f(x - hj)) / hj[j] ** 2
+        for l in range(j + 1, x.size):
+            hl = steps[l]
+            H[j, l] = H[l, j] = (f(x + hj + hl) - f(x + hj - hl) - f(x - hj + hl)
+                                 + f(x - hj - hl)) / (4.0 * hj[j] * hl[l])
     return 0.5 * (H + H.T)
 
 
@@ -127,16 +106,13 @@ def _loaded_step(H, g, tau):
     return p if sum(map(mul, p, g)) < 0.0 else None
 
 
-def minimize(objective, x0, gtol=None, max_iter=500, derivatives=None):
+def minimize(objective, x0, derivatives, gtol=None, max_iter=500):
     """Minimize a smooth function of a few variables from a feasible start.
 
-    `derivatives(x)`, when given, returns the exact (gradient, Hessian) at
-    a feasible x as float sequences (x itself is a numpy array); otherwise
-    both come from finite-difference stencils. gtol defaults to
+    `derivatives(x)` returns the exact (gradient, Hessian) at a feasible x
+    as float sequences (x itself is a numpy array). gtol defaults to
     1e-8 * max(1, |f(x0)|), which scales sensibly for log-likelihoods of
-    any sample size. Gradient stencils that poke into the infeasible region
-    are retried with a 10x smaller step before giving up on that iteration;
-    a Hessian stencil that does is replaced by the identity (step -g).
+    any sample size.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = objective(x)
@@ -144,22 +120,12 @@ def minimize(objective, x0, gtol=None, max_iter=500, derivatives=None):
         raise ValueError(f"objective not finite at starting point {x0}")
     if gtol is None:
         gtol = 1e-8 * max(1.0, abs(fx))
-    if derivatives is None:
-        def derivatives(x):
-            g = _gradient_with_retry(objective, x)
-            if g is None or math.hypot(*g) <= gtol:
-                return g, None  # no step follows: skip the Hessian
-            try:  # float lists, like g: no numpy scalar overflow warnings
-                return g, numerical_hessian(objective, x).tolist()
-            except StencilError:
-                return g, None
-
     g, H = derivatives(x)
     iterations = 0
     flat = False
-    while iterations < max_iter and g is not None and math.hypot(*g) > gtol:
+    while iterations < max_iter and math.hypot(*g) > gtol:
         iterations += 1
-        p = [-v for v in g] if H is None else _descent_direction(H, g)
+        p = _descent_direction(H, g)
         slope = sum(map(mul, p, g))
         # The step would lower f by about -slope / 2: once that is below
         # what f resolves, no line search can confirm it, and x is a
@@ -185,7 +151,7 @@ def minimize(objective, x0, gtol=None, max_iter=500, derivatives=None):
         if t * math.hypot(*p) <= 1e-12 * max(1.0, math.hypot(*x.tolist())):
             break
 
-    gnorm = math.inf if g is None else math.hypot(*g)
+    gnorm = math.hypot(*g)
     return MinimizeResult(
         x_min=x,
         f_min=fx,
@@ -194,11 +160,3 @@ def minimize(objective, x0, gtol=None, max_iter=500, derivatives=None):
         converged=bool(gnorm <= gtol or flat),
     )
 
-
-def _gradient_with_retry(f, x):
-    for attempt in range(3):
-        try:
-            return numerical_gradient(f, x, 1e-5 * 10.0**-attempt).tolist()
-        except StencilError:
-            continue
-    return None

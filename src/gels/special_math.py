@@ -46,6 +46,20 @@ def std_normal_quantile(p):
     return _STD_NORMAL.inv_cdf(p)
 
 
+def digamma_trigamma(x):
+    """psi(x) and psi'(x), x > 0: their recurrences up to x >= 12, then the
+    asymptotic series through x^-14 and x^-15 (next terms below 4e-18)."""
+    psi = dpsi = 0.0
+    while x < 12.0:
+        psi, dpsi, x = psi - 1.0 / x, dpsi + 1.0 / (x * x), x + 1.0
+    r = 1.0 / (x * x)
+    psi += math.log(x) - 0.5 / x - r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (
+        1 / 240 - r * (1 / 132 - r * (691 / 32760 - r / 12))))))
+    dpsi += (1.0 + 0.5 / x + r * (1 / 6 - r * (1 / 30 - r * (1 / 42 - r * (1 / 30 - r * (
+        5 / 66 - r * (691 / 2730 - r * 7 / 6))))))) / x
+    return psi, dpsi
+
+
 def log_binomial(n, i):
     """log of C(n, i) through log-gamma; exact-ish to ~1e-14 relative."""
     if i < 0 or i > n:

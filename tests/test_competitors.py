@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gels import datasets
+from gels import datasets, distribution
 from gels.cli import main
 from gels.distribution import GelSParams, sample
 from gels.estimation import Dataset, DegenerateDataError, FitError, information_criteria
+from gels.optimize import numerical_gradient
 from gels.competitors import (
     CompetitorFit,
     fit_all,
@@ -138,16 +139,41 @@ class TestExtremeData:
     never in a numpy warning (which the test filter turns into an error)."""
 
     def test_gamma_when_the_sum_leaves_the_float_range(self):
-        # sum x overflowed inside x.mean(); the likelihood's rate * sum x
-        # term is still infinite at the moment start
+        # sum x overflows; the fit on x / max x never forms it
         data = Dataset(values=[8.2e307, 8.2e307, 8.2e307, 8103.08])
-        with pytest.raises(FitError, match="Gamma fit"):
-            fit_gamma(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(fit_gamma(data).loglik)
+
+    @pytest.mark.parametrize("values, loglik", [
+        # the profile maximum, from mpmath at 50 digits
+        ([1.0, 1.0000001], 30.784608595459451),
+        ([1.0, 1.001, 1.002], 17.074647982661666),
+    ])
+    def test_gamma_loglik_on_near_ties(self, values, loglik):
+        # k ln k - k - lgamma(k) lost all digits at k = 4e14
+        assert fit_gamma(Dataset(values=values)).loglik == pytest.approx(loglik, abs=1e-7)
 
     def test_weibull_on_near_ties(self):
         # a line-search trial at a large shape made z^shape overflow
         data = Dataset(values=[1.0] + [0.9974606856163131] * 3)
         assert math.isfinite(fit_weibull(data).loglik)
+
+    def test_ge_shape_past_the_float_range(self):
+        # the profile root puts ln(shape) far above 709
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="GE fit"):
+                fit_gen_exponential(Dataset(values=[1.0, 1.0000001]))
+
+    def test_compare_over_six_hundred_decades(self, capsys, tmp_path):
+        # Weibull's moment start made x / scale underflow to 0, so exit 4
+        path = tmp_path / "wide.txt"
+        path.write_text("1.01423205e+304\n9.85967654e-305\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 DATASETS = ["ball_bearings", "leukaemia", "strength_10mm"]
@@ -155,14 +181,13 @@ DATASETS = ["ball_bearings", "leukaemia", "strength_10mm"]
 
 class TestScaleEquivariance:
     """The four competitors are scale families, so the fit to c x has
-    log-likelihood l(x) - n ln c: the search box sits on the moment start,
-    not on unit scale."""
+    log-likelihood l(x) - n ln c at every scale."""
 
     @pytest.mark.parametrize("name", DATASETS)
     def test_loglik_shifts_by_n_ln_c(self, name):
         data = datasets.load(name)
         base = fit_all(data)
-        for c in (1e-30, 1e-6, 1e6, 1e20, 1e30):
+        for c in (1e-300, 1e-200, 1e-30, 1e-6, 1e6, 1e20, 1e30, 1e200, 1e300):
             for got, ref in zip(fit_all(Dataset(values=data.values * c)), base):
                 assert got.converged, (got.family, c)
                 assert got.loglik + data.n * math.log(c) == pytest.approx(ref.loglik, rel=1e-10)
@@ -177,6 +202,33 @@ class TestScaleEquivariance:
             warnings.simplefilter("error")
             assert main(["compare", str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestProfileEquations:
+    """Each numeric fit solves one equation f(y) = 0 with `solve_bracketed`;
+    the slope it hands the solver matches a central difference of f."""
+
+    @pytest.mark.parametrize("name", DATASETS)
+    @pytest.mark.parametrize("fitter, points", [
+        (fit_gamma, lambda root: [0.5 * root, root, 2.0 * root]),
+        (fit_weibull, lambda root: [0.5 * root, root, 2.0 * root]),
+        (fit_gen_exponential, lambda v: [v - 1.0, v, v + 1.0]),  # v = ln(rate mean x)
+    ])
+    def test_slope_matches_central_difference(self, monkeypatch, name, fitter, points):
+        seen = []
+        real = distribution.solve_bracketed
+
+        def spy(f, lo, hi, y):
+            root = real(f, lo, hi, y)
+            seen.append((f, root))
+            return root
+
+        monkeypatch.setattr(distribution, "solve_bracketed", spy)
+        fitter(datasets.load(name))
+        [(f, root)] = seen
+        for y in points(root):
+            [numeric] = numerical_gradient(lambda p: f(float(p[0]))[0], [y])
+            assert f(y)[1] == pytest.approx(numeric, rel=1e-6), y
 
 
 class TestReferenceRows:

@@ -69,11 +69,11 @@ GOLDEN = {
     ('fit stdin column', 'json'): (0, '4a744e3265435d1f3da6dbc4e0610698251079a09be66cfd1c0fd333f09bdf0b'),
     ('fit stdin column', 'csv'): (0, 'c8eb5ee14f7b74ae9ccc017d3664d812e562a7d5f40f4f5be726de5749e68d3c'),
     ('compare ball_bearings k0..30', 'text'): (0, '3234f32632a370bf9be32cafc8691712c31dd01572bae52c8aee5539736c6df6'),
-    ('compare ball_bearings k0..30', 'json'): (0, 'f36bfbd51b253582092aa3accdbe7ce08472572c7d93fbfa2c64d5d2257c0087'),
-    ('compare ball_bearings k0..30', 'csv'): (0, '0603ff4474f4c90e8ea60c74ba8b3c071f8cb3cd601495fb623339e618582d6d'),
+    ('compare ball_bearings k0..30', 'json'): (0, '2160d8fd40a9b1482d15af1705b4ce7803b23895ac4463d64ab4369c899ce7a0'),
+    ('compare ball_bearings k0..30', 'csv'): (0, '6df0a4770abfccc45426033c805eab0b8c3ec056383a450c51b0d8a4eb142e73'),
     ('compare strength_10mm k0..10', 'text'): (0, 'c58b4212313e63f6628b06678c18e1dbbe352650c903356ff5aec20f94ae05ef'),
-    ('compare strength_10mm k0..10', 'json'): (0, '9a4376523beb35a57c1c47d4234ed5e5bae422542a45b739e338749909a1bdff'),
-    ('compare strength_10mm k0..10', 'csv'): (0, '448e763100f1432aec4cdfd05e3a16d3bb4453217e56d5e39467f848c5ae8abe'),
+    ('compare strength_10mm k0..10', 'json'): (0, '13d6785b4a115d67b74c4a9476506184467c9861a63ebd6549ad8f8301c26365'),
+    ('compare strength_10mm k0..10', 'csv'): (0, '0d9aa4feabeb44d24fb0bff57ed4971bd32c98bf7c7ccff86fc763cbf71df313'),
     ('stats', 'text'): (0, '5d5fd323762e79fbb959caba70afafdab7a33b71ce2f521616a957a6f36b15cf'),
     ('stats', 'json'): (0, '5af8a476777ce6c491a6779719c8395e7c7589083c7d9460a3cbf23eca923c0a'),
     ('stats', 'csv'): (0, 'db1bdf15b6f3a7a81bc99609685f00b056966831fa97f4d9d7fa0f1f3a18ddd0'),

@@ -125,10 +125,22 @@ class TestStepSolve:
         assert _descent_direction([[math.nan, 0.0], [0.0, 1.0]], [1.0, -2.0]) == [-1.0, 2.0]
 
 
+def rosenbrock(v):
+    return (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
+
+
+def rosenbrock_derivatives(v):
+    x, y = float(v[0]), float(v[1])
+    g = (-2.0 * (1.0 - x) - 400.0 * x * (y - x * x), 200.0 * (y - x * x))
+    h = 1200.0 * x * x - 400.0 * y + 2.0
+    return g, ((h, -400.0 * x), (-400.0 * x, 200.0))
+
+
 class TestMinimize:
     def test_shifted_quadratic(self):
         f = lambda v: (v[0] - 1.0) ** 2 + (v[1] + 2.0) ** 2
-        res = minimize(f, np.array([0.0, 0.0]))
+        d = lambda v: ((2.0 * (v[0] - 1.0), 2.0 * (v[1] + 2.0)), ((2.0, 0.0), (0.0, 2.0)))
+        res = minimize(f, np.array([0.0, 0.0]), derivatives=d)
         assert isinstance(res, MinimizeResult)
         assert res.converged
         assert np.allclose(res.x_min, [1.0, -2.0], atol=1e-8)
@@ -143,14 +155,15 @@ class TestMinimize:
         H = A @ A.T + np.eye(dim)  # safely positive definite
         b = rng.normal(size=dim)
         f = lambda v: 0.5 * float(v @ H @ v) + float(b @ v)
-        res = minimize(f, np.zeros(dim))
+        d = lambda v: ((H @ v + b).tolist(), H.tolist())
+        res = minimize(f, np.zeros(dim), derivatives=d)
         x_star = np.linalg.solve(H, -b)
         assert res.iterations <= dim + 2
         assert abs(res.f_min - f(x_star)) <= 1e-10 * max(1.0, abs(f(x_star)))
 
     def test_rosenbrock(self):
-        f = lambda v: (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
-        res = minimize(f, np.array([-1.2, 1.0]), gtol=1e-8)
+        res = minimize(rosenbrock, np.array([-1.2, 1.0]), gtol=1e-8,
+                       derivatives=rosenbrock_derivatives)
         assert res.converged
         assert res.gradient_norm <= 1e-8
         assert np.allclose(res.x_min, [1.0, 1.0], atol=1e-6)
@@ -164,7 +177,8 @@ class TestMinimize:
                 return math.inf
             return (v[0] - 0.5) ** 2
 
-        res = minimize(f, np.array([2.0]))
+        res = minimize(f, np.array([2.0]),
+                       derivatives=lambda v: ((2.0 * (v[0] - 0.5),), ((2.0,),)))
         assert res.converged
         assert abs(res.x_min[0] - 0.5) <= 1e-6
         assert math.isfinite(res.f_min)
@@ -179,14 +193,18 @@ class TestMinimize:
             log.append(val)
             return val
 
-        res = minimize(f, np.array([0.0, 0.0]))
+        def d(v):
+            return ((2.0 * (v[0] - 3.0), 4.0 * (v[1] - 1.0) ** 3),
+                    ((2.0, 0.0), (0.0, 12.0 * (v[1] - 1.0) ** 2)))
+
+        res = minimize(f, np.array([0.0, 0.0]), derivatives=d)
         assert res.converged
         assert res.f_min < log[0]
         # a rejected line-search trial may beat the accepted point by a hair
         assert res.f_min <= min(log) + 1e-9
 
     def test_max_iter_flagged(self):
-        f = lambda v: (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
-        res = minimize(f, np.array([-1.2, 1.0]), max_iter=2)
+        res = minimize(rosenbrock, np.array([-1.2, 1.0]), max_iter=2,
+                       derivatives=rosenbrock_derivatives)
         assert not res.converged
         assert res.iterations == 2

@@ -83,6 +83,15 @@ import scipy.special
 {ONE_TASK}
 """)
 
+    def test_compare_loads_no_scipy(self):
+        # the competitor fits take psi and psi' from gels.special_math
+        run_fresh("""
+import sys
+from gels.cli import main
+assert main(["compare", "--dataset", "ball_bearings", "--kmax", "2"]) == 0
+assert 'scipy' not in sys.modules
+""")
+
     def test_user_value_wins(self):
         run_fresh("""
 import os

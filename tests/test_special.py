@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from gels import distribution
 from gels.special_math import (
     FloatOverflowError,
     LogSeriesSum,
+    digamma_trigamma,
     log_binomial,
     log_series_sum,
     log_series_sum_partials,
@@ -60,6 +63,24 @@ class TestLogBinomial:
             log_binomial(3, 4)
         with pytest.raises(ValueError):
             log_binomial(3, -1)
+
+
+# both sides of the switch to the asymptotic series at 12, and psi's zero near 1.4616
+PSI_GRID = np.concatenate([np.geomspace(1e-6, 1e8, 1401), np.linspace(0.25, 14.0, 56),
+                           [np.nextafter(12.0, 0.0)]]).tolist()
+
+
+class TestDigamma:
+    def test_digamma_against_scipy(self):
+        for x in PSI_GRID:
+            # the absolute floor covers psi's zero, where no relative bound holds
+            assert digamma_trigamma(x)[0] == pytest.approx(float(scipy.special.digamma(x)),
+                                               rel=1e-14, abs=1e-15), x
+
+    def test_trigamma_against_scipy(self):
+        for x in PSI_GRID:
+            assert digamma_trigamma(x)[1] == pytest.approx(float(scipy.special.polygamma(1, x)),
+                                                rel=1e-13), x
 
 
 class TestLogSeriesSum:
